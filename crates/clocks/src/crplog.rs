@@ -15,11 +15,10 @@
 //! local site's last write.
 
 use causal_types::{MetaSized, SiteId, SizeModel, WriteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Log of write 2-tuples, at most one per origin (the newest).
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct CrpLog {
     /// Sorted by origin; at most one entry per origin.
     entries: Vec<WriteId>,

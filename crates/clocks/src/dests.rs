@@ -1,7 +1,6 @@
 //! Compact destination-site sets.
 
 use causal_types::{MetaSized, SiteId, SizeModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of sites a [`DestSet`] can hold.
@@ -16,7 +15,7 @@ pub const MAX_SITES: usize = 128;
 /// `⟨j, clock_j, Dests⟩`: the set of replica sites to which a write was
 /// multicast and for which that fact is still *relevant explicit
 /// information* (not yet known to be delivered or superseded).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestSet(u128);
 
 impl DestSet {

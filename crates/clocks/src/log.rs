@@ -56,13 +56,12 @@
 
 use crate::dests::DestSet;
 use causal_types::{MetaSized, SiteId, SizeModel, WriteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One record of the Opt-Track log: write `⟨origin, clock⟩` was multicast to
 /// `dests`, and that fact is still relevant for the sites remaining in
 /// `dests`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LogEntry {
     /// The application process that performed the write.
     pub origin: SiteId,
@@ -90,7 +89,7 @@ impl LogEntry {
 
 /// Pruning switches. The defaults implement the full Opt-Track behaviour;
 /// the ablation benches flip individual switches to quantify their effect.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PruneConfig {
     /// Apply implicit condition 2 (supersede destination info when a later
     /// causally-ordered send covers the same destinations). Disabling this
@@ -135,7 +134,7 @@ impl Default for PruneConfig {
 /// much as merge complexity: every multicast destination derives its
 /// `LastWriteOn⟨h⟩` from a clone of the piggybacked snapshot. The log never
 /// contains two entries for the same write.
-#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Log {
     /// Entries sorted by `(origin, clock)`.
     entries: Vec<LogEntry>,

@@ -1,7 +1,6 @@
 //! The `Write[n][n]` matrix clock of Full-Track.
 
 use causal_types::{MetaSized, SiteId, SizeModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An `n × n` matrix clock, stored row-major in a flat boxed slice.
@@ -11,7 +10,7 @@ use std::fmt;
 /// the `→co` relation) the current state of site `s_i`. The whole matrix is
 /// piggybacked on every SM and RM message, which is the `O(n²)` per-message
 /// overhead Opt-Track eliminates.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct MatrixClock {
     n: usize,
     cells: Box<[u64]>,

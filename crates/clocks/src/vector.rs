@@ -1,7 +1,6 @@
 //! The size-`n` `Write` vector clock of optP (Baldoni et al. 2006).
 
 use causal_types::{MetaSized, SiteId, SizeModel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A vector clock over `n` application processes.
@@ -10,7 +9,7 @@ use std::fmt;
 /// that causally happened before (under `→co`) the current state of site
 /// `s_i`. It is piggybacked on every SM message, giving optP its `O(n)`
 /// per-message overhead — the quantity Opt-Track-CRP improves to `O(d)`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: Vec<u64>,
 }

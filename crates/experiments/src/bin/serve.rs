@@ -18,8 +18,8 @@
 //! ```
 //!
 //! `--batch-ms 2` turns on per-destination update batching with a 2 ms
-//! wall-clock flush window (the runtime counterpart of the simulator's
-//! `BatchPlan`); the batching counters land in the output. `--check` runs
+//! wall-clock flush window (the same `BatchPlan` the simulator's virtual
+//! windows use); the batching counters land in the output. `--check` runs
 //! the causal-consistency checker on the recorded execution history and
 //! fails loudly on any violation. `--duration 5` runs a time-bounded load
 //! instead of an op-count-bounded one: clients issue until the deadline and
@@ -31,8 +31,8 @@
 use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{serve, BatchWindow, ServeConfig, ServeTransport};
-use causal_types::MsgKind;
+use causal_runtime::{serve, BatchPlan, ServeConfig, ServeTransport};
+use causal_types::{MsgKind, SimDuration};
 use std::time::Duration;
 
 struct Args {
@@ -200,7 +200,7 @@ fn main() {
             cfg.payload_len = a.payload;
             cfg.batch = a
                 .batch_ms
-                .map(|ms| BatchWindow::windowed(Duration::from_millis(ms)));
+                .map(|ms| BatchPlan::windowed(SimDuration::from_millis(ms)));
             eprintln!("[serve] {kind} over {} …", transport.label());
             let r = serve(&cfg).unwrap_or_else(|e| {
                 eprintln!("error: {kind}/{}: {e:?}", transport.label());

@@ -26,16 +26,16 @@ where
         return (0..count).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
+    let (tx, rx) = std::sync::mpsc::channel();
     let workers = jobs.min(count);
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(count, || None);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= count {
                     break;
@@ -50,8 +50,7 @@ where
         for (i, out) in rx.iter() {
             slots[i] = Some(out);
         }
-    })
-    .expect("worker pool scope");
+    });
     slots
         .into_iter()
         .map(|s| s.expect("every unit completes exactly once"))

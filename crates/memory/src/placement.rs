@@ -3,10 +3,9 @@
 use causal_clocks::DestSet;
 use causal_proto::Replication;
 use causal_types::{Error, Result, SiteId, VarId};
-use serde::{Deserialize, Serialize};
 
 /// Which placement strategy to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlacementKind {
     /// The paper's placement: variable `h` is replicated at the `p`
     /// consecutive sites starting at `h mod n`, spreading replicas evenly

@@ -15,10 +15,9 @@
 
 use crate::quantile::P2Quantile;
 use crate::stats::StatAccum;
-use serde::{Deserialize, Serialize};
 
 /// Streaming operation-latency accumulator: count, mean, min/max, p50, p99.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OpLatency {
     /// Mean / min / max over all completions.
     pub stats: StatAccum,
@@ -69,7 +68,7 @@ impl Default for OpLatency {
 }
 
 /// A point-in-time latency summary, microseconds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LatencySummary {
     /// Operations completed.
     pub ops: u64,

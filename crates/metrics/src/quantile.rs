@@ -6,10 +6,8 @@
 //! (e.g. p99 apply latency in the false-causality experiment), where a mean
 //! hides exactly the effect being measured.
 
-use serde::{Deserialize, Serialize};
-
 /// A single-quantile P² estimator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights.

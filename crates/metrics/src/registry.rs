@@ -9,10 +9,9 @@
 
 use crate::quantile::P2Quantile;
 use crate::stats::StatAccum;
-use serde::{Deserialize, Serialize};
 
 /// Counters and latency summaries for one site.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SiteMetrics {
     /// Protocol messages this site sent (SM + FM + RM).
     pub sends: u64,
@@ -60,7 +59,7 @@ impl SiteMetrics {
 /// The per-site registry: one [`SiteMetrics`] slot per site, indexed by
 /// the site's dense index. Grows on demand so callers never have to know
 /// `n` up front.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SiteRegistry {
     sites: Vec<SiteMetrics>,
 }

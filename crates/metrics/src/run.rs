@@ -4,7 +4,6 @@ use crate::quantile::P2Quantile;
 use crate::registry::SiteRegistry;
 use crate::stats::{MessageStats, StatAccum};
 use causal_types::MsgKind;
-use serde::{Deserialize, Serialize};
 
 /// Everything measured during one simulation run.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// "experimental data ... after the first 15 % operation events to eliminate
 /// the side effect in startup"), while `all` covers the entire run (used for
 /// conservation checks in tests).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RunMetrics {
     /// Post-warm-up traffic.
     pub measured: MessageStats,
@@ -180,7 +179,7 @@ pub struct RunMetrics {
     /// the simulator.
     pub syscall_writes: u64,
     /// Deepest per-site mailbox backlog observed by the worker scheduler
-    /// when it picked a site up (frames waiting in the crossbeam channel).
+    /// when it picked a site up (frames waiting in its mailbox channel).
     pub mailbox_depth_peak: u64,
     /// Per-site breakdown of the counters above (sends, delivers, applies,
     /// buffering, retransmits, dwell, fetch RTT).

@@ -1,10 +1,9 @@
 //! Counters and streaming statistics.
 
 use causal_types::MsgKind;
-use serde::{Deserialize, Serialize};
 
 /// Message counts and meta-data byte totals, broken down by message kind.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MessageStats {
     counts: [u64; 3],
     meta_bytes: [u64; 3],
@@ -62,7 +61,7 @@ impl MessageStats {
 
 /// Streaming summary statistics (Welford's algorithm): count, mean,
 /// variance, min, max. Constant memory, numerically stable.
-#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct StatAccum {
     count: u64,
     mean: f64,

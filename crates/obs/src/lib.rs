@@ -22,10 +22,9 @@
 //!   line with a deterministic field order, so traces of the same seed are
 //!   byte-identical regardless of how many worker threads ran the sweep.
 //!
-//! The JSONL codec is hand-rolled: the workspace's vendored `serde` derives
-//! are inert stand-ins (see `vendor/serde_derive`), so — like the disk
-//! cache in `causal-experiments` — this crate renders and parses its own
-//! flat JSON.
+//! The JSONL codec is hand-rolled: the workspace builds offline with no
+//! serialization framework, so — like the disk cache in
+//! `causal-experiments` — this crate renders and parses its own flat JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -21,10 +21,11 @@ use causal_types::{MetaSized, SiteId, SizeModel, VarId, VersionedValue, WriteId}
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A parked Full-Track update. The matrix snapshot stays shared (`Arc`)
-/// all the way from the writer's fan-out into the receiver's stash.
+/// A buffered Full-Track update awaiting its activation predicate. The
+/// matrix snapshot stays shared (`Arc`) all the way from the writer's
+/// fan-out into the receiver's stash.
 #[derive(Clone, Debug)]
-struct PendingSm {
+struct BufferedUpdate {
     var: VarId,
     value: VersionedValue,
     write: Arc<MatrixClock>,
@@ -52,7 +53,7 @@ pub struct FullTrack {
     /// Local write counter (for `WriteId`s; Full-Track itself needs only the
     /// matrix).
     own_writes: u64,
-    pending: PendingQueues<PendingSm>,
+    pending: PendingQueues<BufferedUpdate>,
     outstanding_fetch: Option<VarId>,
     trace: ProtoTrace,
 }
@@ -86,7 +87,7 @@ impl FullTrack {
     ///   writes *to this site* applied: `Apply_k[l] ≥ W[l][k]`;
     /// * the sender's row counts this very update, hence
     ///   `Apply_k[sender] ≥ W[sender][k] − 1`.
-    fn ready(state: &ApplyState, me: SiteId, sender: SiteId, m: &PendingSm) -> bool {
+    fn ready(state: &ApplyState, me: SiteId, sender: SiteId, m: &BufferedUpdate) -> bool {
         Self::blocking_dep(state, me, sender, m).is_none()
     }
 
@@ -97,7 +98,7 @@ impl FullTrack {
         state: &ApplyState,
         me: SiteId,
         sender: SiteId,
-        m: &PendingSm,
+        m: &BufferedUpdate,
     ) -> Option<(SiteId, u64)> {
         let n = state.apply.len();
         for l in SiteId::all(n) {
@@ -114,7 +115,7 @@ impl FullTrack {
         None
     }
 
-    fn apply_update(state: &mut ApplyState, sender: SiteId, m: PendingSm) {
+    fn apply_update(state: &mut ApplyState, sender: SiteId, m: BufferedUpdate) {
         state.values.insert(m.var, m.value);
         state.apply[sender.index()] += 1;
         state.applied_effects.push(Effect::Applied {
@@ -223,7 +224,7 @@ impl ProtocolSite for FullTrack {
                 let SmMeta::FullTrack { write } = sm.meta else {
                     panic!("Full-Track site received a foreign SM meta");
                 };
-                let m = PendingSm {
+                let m = BufferedUpdate {
                     var: sm.var,
                     value: sm.value,
                     write,

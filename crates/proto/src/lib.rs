@@ -44,6 +44,7 @@ pub mod effect;
 pub mod factory;
 pub mod full_track;
 pub mod hb_track;
+pub mod host;
 pub mod msg;
 pub mod opt_track;
 pub mod opt_track_crp;
@@ -59,6 +60,7 @@ pub use effect::{Effect, ReadResult};
 pub use factory::{build_site, ProtocolConfig, ProtocolKind};
 pub use full_track::FullTrack;
 pub use hb_track::HbTrack;
+pub use host::{BatchPlan, Outbound, ParkedFetch, SiteHost};
 pub use msg::{BatchedSm, Fm, Msg, Rm, RmMeta, Sm, SmBatch, SmMeta, SmMetaDelta};
 pub use opt_track::OptTrack;
 pub use opt_track_crp::OptTrackCrp;

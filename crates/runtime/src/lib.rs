@@ -3,11 +3,16 @@
 //! A real multi-threaded runtime for the causal-consistency protocols: a
 //! sharded M:N scheduler (a fixed pool of `W` worker threads multiplexing
 //! the `n` sites, `W = n` emulating the old thread-per-site fabric), a
-//! transport fabric between the workers (crossbeam FIFO channels or a
-//! multiplexed loopback-TCP mesh with one socket per worker pair and
-//! coalesced writes), and two ways to drive operations — wall-clock
-//! schedule replay (scaled) and the closed-loop load generator behind
-//! [`serve`] (budget- or duration-bounded).
+//! transport fabric between the workers (in-process `std::sync::mpsc`
+//! mailboxes or a multiplexed loopback-TCP mesh with one socket per worker
+//! pair and coalesced writes), and two ways to drive operations —
+//! wall-clock schedule replay (scaled) and the closed-loop load generator
+//! behind [`serve`] (budget- or duration-bounded).
+//!
+//! Each site is a [`node::Node`]: a thin shell around the same
+//! [`causal_proto::SiteHost`] the simulator drives, so lanes, batch
+//! framing, fetch parking, receipt timing and send accounting are one
+//! implementation in both worlds.
 //!
 //! The paper's testbed ran each site as a JDK process over TCP; this runtime
 //! is the analogous live deployment of the *identical* protocol objects that
@@ -39,8 +44,8 @@ pub mod runner;
 pub mod serve;
 pub mod tcp;
 
+pub use causal_proto::BatchPlan;
 pub use loadgen::LoadProfile;
-pub use node::BatchWindow;
 pub use runner::{run_threaded, RunOutcome, RuntimeConfig};
 pub use serve::{serve, ServeConfig, ServeReport, ServeTransport};
 pub use tcp::run_tcp;

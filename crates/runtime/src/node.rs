@@ -1,20 +1,27 @@
 //! One site of the live deployment, as a poll-driven state machine.
 //!
-//! A [`Node`] is one site: it owns the protocol state machine, a mailbox
-//! fed by the transport, and an [`OpDriver`] that decides *when the next
-//! operation happens* — either replaying a pre-generated workload schedule
-//! (so a simulator run with the same seed predicts this node's traffic
-//! message for message) or running the closed-loop clients of the `serve`
-//! load generator.
+//! A [`Node`] is a thin shell around the shared per-site layer,
+//! [`causal_proto::SiteHost`] — the same host the simulator drives. The
+//! host owns the protocol state machine, the per-destination lanes and
+//! batch framing, unbatch-on-deliver, fetch parking, receipt timing and all
+//! send accounting; the node adds only what is specific to a live run:
 //!
-//! Nodes no longer own a thread. The sharded scheduler in
-//! [`crate::runner`] multiplexes K sites onto each worker, calling
-//! [`Node::on_wire`] for every mailbox frame and [`Node::poll`] to issue
-//! due operations; a node must therefore never block. The paper's
-//! synchronous RemoteFetch is expressed as a parked [`FetchWait`] state:
-//! the site issues no new operations while a fetch is outstanding (one
-//! sequential process, exactly the paper's model) but keeps serving
-//! incoming messages, which is what unblocks the fetch in the first place.
+//! * an [`OpDriver`] that decides *when the next operation happens* —
+//!   either replaying a pre-generated workload schedule (so a simulator run
+//!   with the same seed predicts this node's traffic message for message)
+//!   or running the closed-loop clients of the `serve` load generator;
+//! * the link to the fabric: frames leave through a [`Transport`] while the
+//!   run-wide in-flight tally is kept, and lane windows become wall-clock
+//!   timers.
+//!
+//! Nodes do not own a thread. The sharded scheduler in [`crate::runner`]
+//! multiplexes K sites onto each worker, calling [`Node::on_wire`] for
+//! every mailbox frame and [`Node::poll`] to issue due operations; a node
+//! must therefore never block. The paper's synchronous RemoteFetch is the
+//! host's parked fetch: the site issues no new operations while a fetch is
+//! outstanding (one sequential process, exactly the paper's model) but
+//! keeps serving incoming messages, which is what unblocks the fetch in
+//! the first place.
 //!
 //! Measured-traffic attribution mirrors the simulator exactly: an
 //! operation is measured iff its schedule index is past the warm-up
@@ -27,18 +34,16 @@ use crate::loadgen::ClosedLoop;
 use crate::runner::{Quiesce, Routes};
 use causal_checker::History;
 use causal_metrics::RunMetrics;
-use causal_multicast::{DestBatcher, Offer};
-use causal_proto::{BatchedSm, Effect, Msg, ProtocolSite, ReadResult, Sm, SmBatch};
-use causal_types::WriteId;
-use causal_types::{MetaSized, OpKind, ScheduledOp, SiteId, SizeModel, VarId, VersionedValue};
-use std::collections::HashMap;
+use causal_obs::{NoopTracer, Tracer};
+use causal_proto::{Msg, Outbound, SiteHost};
+use causal_types::{OpKind, ScheduledOp, SimTime, SiteId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a node's outgoing messages reach their destination. The node logic
 /// is transport-agnostic: in-process runs use [`ChannelTransport`]
-/// (crossbeam channels), the TCP runner in [`crate::tcp`] moves the same
+/// (`std::sync::mpsc` mailboxes), the TCP runner in [`crate::tcp`] moves the same
 /// frames over multiplexed loopback sockets — the paper's actual
 /// transport.
 pub trait Transport: Send + Sync {
@@ -53,7 +58,7 @@ pub trait Transport: Send + Sync {
     fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool;
 }
 
-/// Crossbeam-channel transport: one unbounded mailbox per site, with the
+/// In-process transport: one unbounded mailbox per site, with the
 /// destination's worker woken through the shared routing table.
 pub struct ChannelTransport {
     routes: Arc<Routes>,
@@ -202,144 +207,110 @@ impl OpDriver {
     }
 }
 
-/// Wall-clock flush policy for per-destination update batching on the live
-/// transports — the runtime counterpart of the simulator's `BatchPlan`.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchWindow {
-    /// Flush a lane once it holds this many updates.
-    pub max_sms: usize,
-    /// Flush a lane once its updates' unbatched wire bytes reach this.
-    pub max_bytes: u64,
-    /// Flush a lane this long after its first (oldest) parked update.
-    pub window: Duration,
+/// What every node of one run shares: the transport, the quiescence
+/// tally, and the run's zero instant (schedule offsets, client due times
+/// and every host timestamp are relative to it).
+pub(crate) struct RunShared {
+    pub(crate) transport: Arc<dyn Transport>,
+    pub(crate) quiesce: Arc<Quiesce>,
+    pub(crate) start: Instant,
 }
 
-impl BatchWindow {
-    /// A plan bounded by the flush window and a generous update count —
-    /// the same defaults the simulator's windowed plan uses.
-    pub fn windowed(window: Duration) -> Self {
-        assert!(window > Duration::ZERO, "flush window must be positive");
-        BatchWindow {
-            max_sms: 64,
-            max_bytes: u64::MAX,
-            window,
-        }
-    }
-}
-
-/// One parked update: the exact message the receiver will eventually see,
-/// with the bookkeeping to account for it as if it had been sent alone.
-struct PendingSm {
-    sm: Sm,
-    measured: bool,
-    full_bytes: u64,
-}
-
-/// A node's batching state: per-destination lanes plus the wall-clock
-/// window timers (epoch-tagged, so a timer that fires after its lane
-/// already flushed is ignored — exactly the simulator's discipline).
-pub struct Lanes {
-    batcher: DestBatcher<PendingSm>,
-    window: Duration,
-    timers: Vec<(Instant, SiteId, u64)>,
-}
-
-impl Lanes {
-    /// Fresh, empty lanes under `plan`.
-    pub fn new(plan: BatchWindow) -> Self {
-        Lanes {
-            batcher: DestBatcher::new(causal_multicast::BatchPolicy {
-                max_items: plan.max_sms,
-                max_bytes: plan.max_bytes,
-            }),
-            window: plan.window,
-            timers: Vec::new(),
-        }
-    }
-}
-
-/// Expand a batch frame into its per-update messages (original
-/// piggybacks, original order, per-update warm-up attribution); a plain
-/// message passes through untouched. The receiving protocol sees exactly
-/// the deliveries it would have seen without batching.
-fn unbatch(msg: Msg, measured: bool) -> Vec<(Msg, bool)> {
-    match msg {
-        Msg::Batch(b) => b
-            .sms
-            .iter()
-            .map(|bs| (Msg::Sm(bs.sm.clone()), bs.measured))
-            .collect(),
-        m => vec![(m, measured)],
-    }
-}
-
-/// The paper's synchronous RemoteFetch, parked: the FM is on the wire and
-/// the site issues nothing new until the RM's `FetchDone` lands.
-struct FetchWait {
-    /// The variable being fetched (sanity-checked against `FetchDone`).
-    var: VarId,
-    /// The replica serving the fetch (the read is recorded against it).
-    target: SiteId,
-    /// Warm-up attribution of the read operation.
-    measured: bool,
-    /// Issuing closed-loop client, if any.
-    client: Option<usize>,
-    /// Operation issue instant (client completion latency).
-    t0: Instant,
-    /// FM send instant (fetch RTT).
-    issued: Instant,
-}
-
-/// One site's full state: protocol instance, driver, batching lanes, and
-/// the recorded history/metrics. Owned by a scheduler worker and driven
-/// through [`Node::poll`] / [`Node::on_wire`].
-pub struct Node {
-    site: SiteId,
-    proto: Box<dyn ProtocolSite>,
-    driver: OpDriver,
-    payload_len: u32,
+/// The runtime side of a node's [`Outbound`]: frames leave through the
+/// transport (keeping the in-flight tally), lane windows become wall-clock
+/// timers, and the node's own metrics and history fragment collect what
+/// its host records. The runtime does not trace.
+struct Link {
     transport: Arc<dyn Transport>,
     quiesce: Arc<Quiesce>,
-    size_model: SizeModel,
-    batch: Option<Lanes>,
-    receipt: HashMap<WriteId, Instant>,
+    start: Instant,
+    /// Armed lane windows: `(due, destination, epoch)`. A timer that fires
+    /// after its lane already flushed is ignored by the host.
+    timers: Vec<(SimTime, SiteId, u64)>,
     history: History,
     metrics: RunMetrics,
-    start: Instant,
-    fetch: Option<FetchWait>,
+    tracer: NoopTracer,
+}
+
+impl Link {
+    /// The wall-clock instant of a host timestamp.
+    fn instant(&self, t: SimTime) -> Instant {
+        self.start + Duration::from_nanos(t.as_nanos())
+    }
+
+    /// The earliest armed lane window.
+    fn next_timer(&self) -> Option<Instant> {
+        self.timers
+            .iter()
+            .map(|(at, _, _)| *at)
+            .min()
+            .map(|at| self.instant(at))
+    }
+}
+
+impl Outbound for Link {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.start.elapsed().as_nanos() as u64)
+    }
+
+    /// Ship `msg`, keeping the global in-flight tally consistent even when
+    /// the peer is already gone.
+    fn send(&mut self, from: SiteId, to: SiteId, msg: Msg, measured: bool) {
+        self.quiesce.frame_sent();
+        if !self.transport.send(from, to, &msg, measured) {
+            // The frame never entered the network; the transport counted
+            // the connection error.
+            self.quiesce.frames_done(1);
+        }
+    }
+
+    fn arm_flush(&mut self, _from: SiteId, to: SiteId, epoch: u64, at: SimTime) {
+        self.timers.push((at, to, epoch));
+    }
+
+    fn metrics(&mut self) -> &mut RunMetrics {
+        &mut self.metrics
+    }
+
+    fn history(&mut self) -> Option<&mut History> {
+        Some(&mut self.history)
+    }
+
+    fn tracer(&mut self) -> &mut dyn Tracer {
+        &mut self.tracer
+    }
+}
+
+/// One site of the live deployment: its [`SiteHost`], the driver that
+/// decides when the next operation is due, and the link to the fabric.
+/// Owned by a scheduler worker and driven through [`Node::poll`] /
+/// [`Node::on_wire`].
+pub struct Node {
+    host: SiteHost,
+    driver: OpDriver,
+    link: Link,
+    /// The issuing client and issue instant of the read parked in a
+    /// remote fetch, reported to the driver when the fetch completes.
+    parked_op: Option<(Option<usize>, Instant)>,
     done_fired: bool,
 }
 
 impl Node {
-    /// A fresh node. `start` is the run's shared zero instant (schedule
-    /// offsets and client due times are relative to it).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        site: SiteId,
-        proto: Box<dyn ProtocolSite>,
-        driver: OpDriver,
-        n: usize,
-        payload_len: u32,
-        transport: Arc<dyn Transport>,
-        quiesce: Arc<Quiesce>,
-        size_model: SizeModel,
-        batch: Option<BatchWindow>,
-        start: Instant,
-    ) -> Self {
+    /// A fresh node for `host`'s site in a run of `n` sites.
+    pub(crate) fn new(host: SiteHost, driver: OpDriver, n: usize, shared: &RunShared) -> Self {
         Node {
-            site,
-            proto,
+            link: Link {
+                transport: shared.transport.clone(),
+                quiesce: shared.quiesce.clone(),
+                start: shared.start,
+                timers: Vec::new(),
+                history: History::new(n),
+                metrics: RunMetrics::new(),
+                tracer: NoopTracer,
+            },
+            host,
             driver,
-            payload_len,
-            transport,
-            quiesce,
-            size_model,
-            batch: batch.map(Lanes::new),
-            receipt: HashMap::new(),
-            history: History::new(n),
-            metrics: RunMetrics::new(),
-            start,
-            fetch: None,
+            parked_op: None,
             done_fired: false,
         }
     }
@@ -347,29 +318,31 @@ impl Node {
     /// Record the mailbox backlog the scheduler found when it picked this
     /// site up.
     pub(crate) fn note_mailbox_depth(&mut self, depth: usize) {
-        self.metrics.mailbox_depth_peak = self.metrics.mailbox_depth_peak.max(depth as u64);
+        let m = &mut self.link.metrics;
+        m.mailbox_depth_peak = m.mailbox_depth_peak.max(depth as u64);
     }
 
-    /// Fire due batch timers and issue every due operation. Returns
+    /// Fire due lane windows and issue every due operation. Returns
     /// whether any work was done and the next instant this node needs a
     /// timed wake-up for (`None` = it is purely message-driven now).
     pub(crate) fn poll(&mut self) -> (bool, Option<Instant>) {
         let mut progressed = self.fire_due_timers();
         loop {
-            if self.fetch.is_some() {
+            if self.host.fetch().is_some() {
                 // Parked in the paper's synchronous RemoteFetch: the site
                 // is one sequential process, so no new operations until
                 // the RM lands — but lane timers stay armed.
-                return (progressed, self.next_timer_at());
+                return (progressed, self.link.next_timer());
             }
             match self.driver.next_due() {
                 Some(off) => {
-                    let due = self.start + off;
+                    let due = self.link.start + off;
                     if due <= Instant::now() {
                         self.issue_next();
                         progressed = true;
                     } else {
-                        return (progressed, Some(self.nearest_wake(due)));
+                        let wake = self.link.next_timer().map_or(due, |t| t.min(due));
+                        return (progressed, Some(wake));
                     }
                 }
                 None => {
@@ -381,12 +354,13 @@ impl Node {
                         // time the coordinator can observe this site as
                         // finished — cascades never produce new SMs, so
                         // lanes stay empty from here on.
-                        self.flush_all_lanes();
+                        self.host.flush_all(&mut self.link);
+                        self.link.timers.clear();
                         self.done_fired = true;
                         progressed = true;
-                        self.quiesce.site_finished();
+                        self.link.quiesce.site_finished();
                     }
-                    return (progressed, self.next_timer_at());
+                    return (progressed, self.link.next_timer());
                 }
             }
         }
@@ -401,14 +375,21 @@ impl Node {
                 msg,
                 measured,
             } => {
-                self.deliver(from, msg, measured);
+                // Cascade sends are counted inside the delivery, before
+                // this frame is released, so the coordinator cannot
+                // observe a spurious in-flight zero.
+                if self.host.deliver(from, msg, measured, &mut self.link) {
+                    let (client, t0) = self.parked_op.take().expect("a parked read completed");
+                    self.op_completed(client, t0);
+                }
+                self.link.quiesce.frames_done(1);
                 true
             }
             Wire::Stop => {
-                if self.fetch.take().is_some() {
-                    // The old runtime panicked here and took the whole run
-                    // down; a racing shutdown now degrades this one read.
-                    self.metrics.degraded_reads += 1;
+                if self.host.fetch().is_some() {
+                    // A racing shutdown degrades this one read instead of
+                    // taking the whole run down.
+                    self.host.abandon_fetch(&mut self.link);
                 }
                 false
             }
@@ -418,292 +399,45 @@ impl Node {
     /// Surrender the node's recorded outcome.
     pub(crate) fn finish(self) -> NodeOutcome {
         NodeOutcome {
-            history: self.history,
-            metrics: self.metrics,
-            final_pending: self.proto.pending_len(),
+            history: self.link.history,
+            metrics: self.link.metrics,
+            final_pending: self.host.proto().pending_len(),
         }
     }
 
     /// Issue the driver's due operation. A remote read parks the node in
-    /// [`FetchWait`] instead of blocking the worker.
+    /// its host's fetch instead of blocking the worker.
     fn issue_next(&mut self) {
         let (kind, measured, client) = self.driver.pop();
         let t0 = Instant::now();
-        match kind {
-            OpKind::Write { var, data } => {
-                if measured {
-                    self.metrics.record_op(true, false);
-                }
-                let (wid, effects) = self.proto.write(var, data, self.payload_len);
-                self.history.record_write(self.site, wid, var);
-                self.handle_effects(effects, measured);
-                self.op_completed(client, t0);
-            }
-            OpKind::Read { var } => match self.proto.read(var) {
-                ReadResult::Local(v) => {
-                    if measured {
-                        self.metrics.record_op(false, false);
-                    }
-                    self.history
-                        .record_read(self.site, var, v.map(|x| x.writer), self.site);
-                    self.op_completed(client, t0);
-                }
-                ReadResult::Fetch { target, msg } => {
-                    // FIFO: the fetch must not overtake this site's own
-                    // parked updates toward the server (it must observe
-                    // its own in-flight writes).
-                    if let Some(items) = self
-                        .batch
-                        .as_mut()
-                        .and_then(|l| l.batcher.flush_dest(target))
-                    {
-                        self.flush_lane(target, items);
-                    }
-                    self.metrics
-                        .record_msg(msg.kind(), msg.meta_size(&self.size_model), measured);
-                    self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-                    self.send(target, msg, measured);
-                    self.fetch = Some(FetchWait {
-                        var,
-                        target,
-                        measured,
-                        client,
-                        t0,
-                        issued: Instant::now(),
-                    });
-                }
-            },
+        if self.host.issue(kind, measured, &mut self.link) {
+            self.parked_op = Some((client, t0));
+        } else {
+            self.op_completed(client, t0);
         }
     }
 
-    /// Report a locally-completed operation back to its closed-loop
-    /// client (replay drivers ignore this).
+    /// Report a completed operation back to its closed-loop client (replay
+    /// drivers ignore this).
     fn op_completed(&mut self, client: Option<usize>, t0: Instant) {
         if let Some(c) = client {
             self.driver
-                .completed(c, self.start.elapsed(), t0.elapsed().as_nanos() as f64);
+                .completed(c, self.link.start.elapsed(), t0.elapsed().as_nanos() as f64);
         }
     }
 
-    /// Ship `msg`, keeping the global in-flight tally consistent even when
-    /// the peer is already gone.
-    fn send(&self, to: SiteId, msg: Msg, measured: bool) {
-        self.quiesce.frame_sent();
-        if !self.transport.send(self.site, to, &msg, measured) {
-            // The frame never entered the network; the transport counted
-            // the connection error.
-            self.quiesce.frames_done(1);
-        }
-    }
-
-    fn deliver(&mut self, from: SiteId, msg: Msg, measured: bool) {
-        for (msg, measured) in unbatch(msg, measured) {
-            if let Msg::Sm(sm) = &msg {
-                self.receipt.insert(sm.value.writer, Instant::now());
-            }
-            self.metrics.per_site.site_mut(self.site.index()).delivers += 1;
-            let effects = self.proto.on_message(from, msg);
-            let mut rest = Vec::with_capacity(effects.len());
-            for e in effects {
-                if let Effect::FetchDone { var, value } = e {
-                    self.complete_fetch(var, value);
-                } else {
-                    rest.push(e);
-                }
-            }
-            // Cascade sends must be counted before this message is
-            // released, or the coordinator could observe a spurious
-            // in-flight zero.
-            self.handle_effects(rest, measured);
-            let pending = self.proto.pending_len();
-            self.metrics.max_pending = self.metrics.max_pending.max(pending);
-            self.metrics.pending_samples.record(pending as f64);
-        }
-        self.quiesce.frames_done(1);
-    }
-
-    /// The RM landed: un-park the fetch, record the read against the
-    /// serving replica (as the simulator does), and hand the completion
-    /// back to the issuing client.
-    fn complete_fetch(&mut self, var: VarId, value: Option<VersionedValue>) {
-        let fw = self
-            .fetch
-            .take()
-            .expect("FetchDone without an outstanding fetch");
-        assert_eq!(var, fw.var, "fetch completion for the wrong variable");
-        self.history
-            .record_read(self.site, var, value.map(|x| x.writer), fw.target);
-        self.metrics
-            .record_fetch_rtt(self.site.index(), fw.issued.elapsed().as_nanos() as f64);
-        if fw.measured {
-            self.metrics.record_op(false, true);
-        }
-        self.op_completed(fw.client, fw.t0);
-    }
-
-    fn handle_effects(&mut self, effects: Vec<Effect>, measured: bool) {
-        for e in effects {
-            match e {
-                Effect::Send { to, msg } => self.dispatch(to, msg, measured),
-                Effect::Applied { var: _, write } => {
-                    self.metrics.applies += 1;
-                    self.metrics.per_site.site_mut(self.site.index()).applies += 1;
-                    if let Some(t0) = self.receipt.remove(&write) {
-                        self.metrics
-                            .record_apply_latency(t0.elapsed().as_nanos() as f64);
-                    }
-                    self.history.record_apply(self.site, write);
-                }
-                Effect::FetchDone { .. } => {
-                    // Intercepted in `deliver` before effects reach here.
-                    debug_assert!(false, "FetchDone outside a delivery");
-                }
-            }
-        }
-    }
-
-    /// Route one outgoing message: park SMs in their destination lane when
-    /// batching is on (flushing on count/byte bounds), flush the lane ahead
-    /// of any non-SM frame to the same destination (per-channel FIFO), and
-    /// account + ship everything else immediately.
-    fn dispatch(&mut self, to: SiteId, msg: Msg, measured: bool) {
-        let size = msg.meta_size(&self.size_model);
-        if self.batch.is_some() {
-            if let Msg::Sm(sm) = msg {
-                let pending = PendingSm {
-                    sm,
-                    measured,
-                    full_bytes: size,
-                };
-                let flush = {
-                    let lanes = self.batch.as_mut().expect("checked above");
-                    match lanes.batcher.offer(to, pending, size) {
-                        Offer::First { epoch } => {
-                            let at = Instant::now() + lanes.window;
-                            lanes.timers.push((at, to, epoch));
-                            None
-                        }
-                        Offer::Queued => None,
-                        Offer::Flush(items) => Some(items),
-                    }
-                };
-                if let Some(items) = flush {
-                    self.flush_lane(to, items);
-                }
-                return;
-            }
-            // Non-SM (an RM reply): flush the lane toward the same
-            // destination first, so no frame overtakes a parked update on
-            // its channel.
-            if let Some(items) = self.batch.as_mut().and_then(|l| l.batcher.flush_dest(to)) {
-                self.flush_lane(to, items);
-            }
-        }
-        if let Msg::Sm(sm) = &msg {
-            self.metrics.sm_entries.record(sm.meta.entry_count() as f64);
-        }
-        self.metrics.record_msg(msg.kind(), size, measured);
-        self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-        self.send(to, msg, measured);
-    }
-
-    /// Ship one drained destination lane: a single parked update goes out
-    /// as a plain SM with exact unbatched accounting; two or more become
-    /// one batch frame charged the merged-piggyback size, with the saving
-    /// recorded in the batching counters — the simulator's `flush_lane`,
-    /// transplanted to wall clocks.
-    fn flush_lane(&mut self, to: SiteId, items: Vec<PendingSm>) {
-        debug_assert!(!items.is_empty(), "a drained lane is never empty");
-        for p in &items {
-            self.metrics
-                .sm_entries
-                .record(p.sm.meta.entry_count() as f64);
-        }
-        let (msg, frame_bytes, measured) = if items.len() == 1 {
-            let p = items.into_iter().next().expect("len checked");
-            (Msg::Sm(p.sm), p.full_bytes, p.measured)
-        } else {
-            let unbatched: u64 = items.iter().map(|p| p.full_bytes).sum();
-            let measured = items.iter().any(|p| p.measured);
-            let batch = SmBatch {
-                sms: items
-                    .into_iter()
-                    .map(|p| BatchedSm {
-                        sm: p.sm,
-                        measured: p.measured,
-                    })
-                    .collect(),
-            };
-            let count = batch.len() as u64;
-            let msg = Msg::Batch(Arc::new(batch));
-            let bytes = msg.meta_size(&self.size_model);
-            self.metrics.batch_flushes += 1;
-            self.metrics.batched_sms += count;
-            self.metrics.batch_bytes_saved += unbatched.saturating_sub(bytes);
-            (msg, bytes, measured)
-        };
-        self.metrics.record_msg(msg.kind(), frame_bytes, measured);
-        self.metrics.per_site.site_mut(self.site.index()).sends += 1;
-        self.send(to, msg, measured);
-    }
-
-    /// Flush every lane whose window timer has expired (stale epochs are
-    /// ignored: those updates already left in a count/byte flush).
-    /// Returns whether anything fired.
+    /// Flush every lane whose window has expired. Returns whether anything
+    /// fired.
     fn fire_due_timers(&mut self) -> bool {
-        let mut fired_any = false;
-        loop {
-            let fired = match self.batch.as_mut() {
-                None => return fired_any,
-                Some(lanes) => {
-                    let now = Instant::now();
-                    match lanes.timers.iter().position(|(at, _, _)| *at <= now) {
-                        None => return fired_any,
-                        Some(i) => {
-                            let (_, dest, epoch) = lanes.timers.swap_remove(i);
-                            lanes
-                                .batcher
-                                .on_timer(dest, epoch)
-                                .map(|items| (dest, items))
-                        }
-                    }
-                }
-            };
-            if let Some((dest, items)) = fired {
-                fired_any = true;
-                self.flush_lane(dest, items);
-            }
+        if self.link.timers.is_empty() {
+            return false;
         }
-    }
-
-    /// Drain every lane (end of schedule — no barrier may leave updates
-    /// parked).
-    fn flush_all_lanes(&mut self) {
-        let drained = match self.batch.as_mut() {
-            Some(lanes) => {
-                lanes.timers.clear();
-                lanes.batcher.flush_all()
-            }
-            None => return,
-        };
-        for (dest, items) in drained {
-            self.flush_lane(dest, items);
+        let now = self.link.now();
+        let mut fired = false;
+        while let Some(i) = self.link.timers.iter().position(|(at, _, _)| *at <= now) {
+            let (_, to, epoch) = self.link.timers.swap_remove(i);
+            fired |= self.host.on_flush_timer(to, epoch, &mut self.link);
         }
-    }
-
-    /// The earliest armed batch-window timer.
-    fn next_timer_at(&self) -> Option<Instant> {
-        self.batch
-            .as_ref()
-            .and_then(|l| l.timers.iter().map(|(at, _, _)| *at).min())
-    }
-
-    /// The next instant the scheduler must wake this node at: the due
-    /// operation or an earlier batch-window expiry.
-    fn nearest_wake(&self, due: Instant) -> Instant {
-        match self.next_timer_at() {
-            Some(t) if t < due => t,
-            _ => due,
-        }
+        fired
     }
 }

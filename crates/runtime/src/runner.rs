@@ -19,15 +19,16 @@
 //! coordinator now parks on a condvar that the last decrement notifies
 //! instead of sleep-polling the counters.
 
-use crate::node::{BatchWindow, ChannelTransport, Node, NodeOutcome, OpDriver, Transport, Wire};
+use crate::node::{ChannelTransport, Node, NodeOutcome, OpDriver, RunShared, Transport, Wire};
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
-use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
+use causal_proto::host::protocol_config;
+use causal_proto::{build_site, BatchPlan, ProtocolConfig, ProtocolKind, Replication, SiteHost};
 use causal_types::{SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -52,7 +53,7 @@ pub struct RuntimeConfig {
     /// every SM as its own frame (required for sim-vs-real parity runs:
     /// wall-clock windows group updates differently than virtual-time
     /// ones, so message counts only line up unbatched).
-    pub batch: Option<BatchWindow>,
+    pub batch: Option<BatchPlan>,
     /// Scheduler worker threads. `0` auto-sizes to the machine's available
     /// parallelism; `n` (one worker per site) emulates the old
     /// thread-per-site fabric. Always clamped to `[1, n]`.
@@ -78,6 +79,17 @@ impl RuntimeConfig {
             size_model: SizeModel::java_like(),
             batch: None,
             workers: 0,
+        }
+    }
+
+    /// How every site of this run is hosted.
+    pub(crate) fn host_spec(&self) -> HostSpec {
+        HostSpec {
+            protocol: self.protocol,
+            repl: self.placement.clone(),
+            size_model: self.size_model,
+            payload_len: self.workload.payload_len,
+            batch: self.batch,
         }
     }
 }
@@ -174,7 +186,7 @@ impl WakeLatch {
 }
 
 /// The sending side of one site's mailbox, with a depth gauge the
-/// scheduler samples (the vendored channel stub has no `len`).
+/// scheduler samples (`std::sync::mpsc` has no `len`).
 pub(crate) struct Mailbox {
     tx: Sender<Wire>,
     depth: Arc<AtomicUsize>,
@@ -236,7 +248,7 @@ impl MailboxRx {
 }
 
 fn mailbox() -> (Mailbox, MailboxRx) {
-    let (tx, rx) = unbounded::<Wire>();
+    let (tx, rx) = channel::<Wire>();
     let depth = Arc::new(AtomicUsize::new(0));
     (
         Mailbox {
@@ -447,21 +459,35 @@ impl Routes {
 }
 
 impl Fabric {
-    /// Spawn the worker pool. `make_node` is called once per site index,
-    /// on the coordinator thread, to build the site's [`Node`]; the node
-    /// is then moved to its owning worker.
-    pub(crate) fn spawn(self, mut make_node: impl FnMut(usize) -> Node) -> Cluster {
+    /// Spawn the worker pool. Every site is hosted per `spec`, driven by
+    /// `driver(site)`, and linked to the fabric through `transport`; the
+    /// nodes are built on the coordinator thread and then moved to their
+    /// owning workers. `start` is the run's shared zero instant.
+    pub(crate) fn spawn(
+        self,
+        spec: &HostSpec,
+        transport: Arc<dyn Transport>,
+        start: Instant,
+        mut driver: impl FnMut(SiteId) -> OpDriver,
+    ) -> Cluster {
         let Fabric {
             routes,
             quiesce,
             threads,
             rxs,
         } = self;
+        let n = routes.sites();
+        let shared = RunShared {
+            transport,
+            quiesce: quiesce.clone(),
+            start,
+        };
         let workers = routes.workers();
         let mut per_worker: Vec<Vec<SiteSlot>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, rx) in rxs.into_iter().enumerate() {
+            let site = SiteId::from(i);
             per_worker[i % workers].push(SiteSlot {
-                node: make_node(i),
+                node: Node::new(spec.host(site), driver(site), n, &shared),
                 rx,
                 stopped: false,
             });
@@ -478,6 +504,25 @@ impl Fabric {
             threads,
             handles,
         }
+    }
+}
+
+/// How every site of a run is hosted: its protocol, replication view,
+/// byte accounting, written payload length and batching plan.
+pub(crate) struct HostSpec {
+    pub(crate) protocol: ProtocolKind,
+    pub(crate) repl: Arc<dyn Replication>,
+    pub(crate) size_model: SizeModel,
+    pub(crate) payload_len: u32,
+    pub(crate) batch: Option<BatchPlan>,
+}
+
+impl HostSpec {
+    /// A fresh host for `site`.
+    fn host(&self, site: SiteId) -> SiteHost {
+        let cfg = protocol_config(ProtocolConfig::default(), self.batch);
+        let proto = build_site(self.protocol, site, self.repl.clone(), cfg);
+        SiteHost::new(site, proto, self.size_model, self.payload_len, self.batch)
     }
 }
 
@@ -594,33 +639,18 @@ pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
     let start = Instant::now();
 
     let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let repl: Arc<dyn Replication> = cfg.placement.clone();
     let conn_errors = Arc::new(AtomicU64::new(0));
-    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new(
+    let transport = Arc::new(ChannelTransport::new(
         fabric.routes.clone(),
         conn_errors.clone(),
     ));
-    let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
-        let site = SiteId::from(i);
-        Node::new(
-            site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
-            OpDriver::replay(
-                schedule.per_site[i].clone(),
-                schedule.warmup_events,
-                cfg.time_scale,
-            ),
-            n,
-            cfg.workload.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
+    let cluster = fabric.spawn(&cfg.host_spec(), transport, start, |site| {
+        OpDriver::replay(
+            schedule.per_site[site.index()].clone(),
+            schedule.warmup_events,
+            cfg.time_scale,
         )
     });
-    drop(transport);
 
     let (history, metrics, final_pending) = drive(cluster, &[conn_errors]);
 

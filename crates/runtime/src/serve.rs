@@ -15,14 +15,14 @@
 //! [`crate::run_threaded`] with the simulator's workload) instead.
 
 use crate::loadgen::{ClosedLoop, LoadProfile};
-use crate::node::{BatchWindow, ChannelTransport, Node, OpDriver, Transport};
-use crate::runner::{build_fabric, drive, resolve_workers};
+use crate::node::{ChannelTransport, OpDriver, Transport};
+use crate::runner::{build_fabric, drive, resolve_workers, HostSpec};
 use crate::tcp::build_mesh;
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, OpLatency, RunMetrics};
-use causal_proto::{build_site, ProtocolConfig, ProtocolKind, Replication};
-use causal_types::{Result, SiteId, SizeModel};
+use causal_proto::{BatchPlan, ProtocolKind, Replication};
+use causal_types::{Result, SizeModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 /// Which fabric carries the mesh traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeTransport {
-    /// In-process crossbeam channels (single-box A/B baseline).
+    /// In-process `std::sync::mpsc` channels (single-box A/B baseline).
     Channel,
     /// Multiplexed loopback TCP with `TCP_NODELAY` — the paper's actual
     /// transport, one socket per worker pair.
@@ -60,7 +60,7 @@ pub struct ServeConfig {
     /// The transport fabric.
     pub transport: ServeTransport,
     /// Per-destination update batching on the send path (`None` = off).
-    pub batch: Option<BatchWindow>,
+    pub batch: Option<BatchPlan>,
     /// Modeled payload length attached to written values (bytes).
     pub payload_len: u32,
     /// Byte accounting for the metrics.
@@ -153,23 +153,16 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
         )),
     };
 
-    let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
-        let site = SiteId::from(i);
-        Node::new(
-            site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
-            OpDriver::Closed(ClosedLoop::new(&cfg.load, site, latency.clone())),
-            n,
-            cfg.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
-        )
+    let spec = HostSpec {
+        protocol: cfg.protocol,
+        repl,
+        size_model: cfg.size_model,
+        payload_len: cfg.payload_len,
+        batch: cfg.batch,
+    };
+    let cluster = fabric.spawn(&spec, transport, start, |site| {
+        OpDriver::Closed(ClosedLoop::new(&cfg.load, site, latency.clone()))
     });
-    drop(transport);
 
     let (history, mut metrics, final_pending) = drive(cluster, &[]);
     let elapsed = start.elapsed();

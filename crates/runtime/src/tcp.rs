@@ -58,17 +58,17 @@
 //! readers blocked in `read_exact` (they hold dups of the fd, so a plain
 //! drop would never deliver the EOF) and join them — nothing leaks.
 
-use crate::node::{Node, OpDriver, Transport, Wire};
+use crate::node::{OpDriver, Transport, Wire};
 use crate::runner::{
     build_fabric, drive, resolve_workers, Quiesce, Routes, RunOutcome, RuntimeConfig,
 };
-use causal_proto::{build_site, wire, Msg, ProtocolConfig, Replication};
+use causal_proto::{wire, Msg, Replication};
 use causal_types::{Error, Result, SiteId};
 use causal_workload::generate;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -368,7 +368,7 @@ pub(crate) fn build_mesh(
             shutdowns.push(inc.try_clone().map_err(sock_err)?);
 
             // Endpoint at a: writes a → b on `out`, reads b → a off `out`.
-            let (tx_ab, rx_ab) = unbounded::<OutFrame>();
+            let (tx_ab, rx_ab) = channel::<OutFrame>();
             let dead_ab = Arc::new(AtomicBool::new(false));
             conns[a * w + b] = Some(Conn {
                 tx: tx_ab,
@@ -389,7 +389,7 @@ pub(crate) fn build_mesh(
             });
 
             // Endpoint at b: writes b → a on `inc`, reads a → b off `inc`.
-            let (tx_ba, rx_ba) = unbounded::<OutFrame>();
+            let (tx_ba, rx_ba) = channel::<OutFrame>();
             let dead_ba = Arc::new(AtomicBool::new(false));
             conns[b * w + a] = Some(Conn {
                 tx: tx_ba,
@@ -433,29 +433,13 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
 
     let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
     let mesh = build_mesh(&fabric.routes, &fabric.quiesce, &fabric.threads)?;
-    let repl: Arc<dyn Replication> = cfg.placement.clone();
-    let transport = mesh.transport();
-    let quiesce = fabric.quiesce.clone();
-    let cluster = fabric.spawn(|i| {
-        let site = SiteId::from(i);
-        Node::new(
-            site,
-            build_site(cfg.protocol, site, repl.clone(), ProtocolConfig::default()),
-            OpDriver::replay(
-                schedule.per_site[i].clone(),
-                schedule.warmup_events,
-                cfg.time_scale,
-            ),
-            n,
-            cfg.workload.payload_len,
-            transport.clone(),
-            quiesce.clone(),
-            cfg.size_model,
-            cfg.batch,
-            start,
+    let cluster = fabric.spawn(&cfg.host_spec(), mesh.transport(), start, |site| {
+        OpDriver::replay(
+            schedule.per_site[site.index()].clone(),
+            schedule.warmup_events,
+            cfg.time_scale,
         )
     });
-    drop(transport);
 
     let (history, mut metrics, final_pending) = drive(cluster, &[]);
     // Tear down before folding the counters so teardown races are
@@ -621,7 +605,7 @@ mod tests {
         // dead: the send must fail immediately (no socket interaction, no
         // sleep-poll) and count a connection error.
         let (routes, _mailboxes) = test_fabric(2, 2);
-        let (tx, _rx) = unbounded::<OutFrame>();
+        let (tx, _rx) = channel::<OutFrame>();
         let errs = Arc::new(AtomicU64::new(0));
         let mut conns: Vec<Option<Conn>> = (0..4).map(|_| None).collect();
         let dead = Arc::new(AtomicBool::new(true));
@@ -654,7 +638,7 @@ mod tests {
         a.set_write_timeout(Some(Duration::from_millis(200)))
             .unwrap();
         let quiesce = Arc::new(Quiesce::new(1));
-        let (tx, rx) = unbounded::<OutFrame>();
+        let (tx, rx) = channel::<OutFrame>();
         let dead = Arc::new(AtomicBool::new(false));
         let errs = Arc::new(AtomicU64::new(0));
         let syscalls = Arc::new(AtomicU64::new(0));

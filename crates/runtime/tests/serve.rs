@@ -6,9 +6,9 @@
 use causal_checker::check;
 use causal_proto::ProtocolKind;
 use causal_runtime::{
-    run_tcp, run_threaded, serve, BatchWindow, RuntimeConfig, ServeConfig, ServeTransport,
+    run_tcp, run_threaded, serve, BatchPlan, RuntimeConfig, ServeConfig, ServeTransport,
 };
-use causal_types::MsgKind;
+use causal_types::{MsgKind, SimDuration};
 use std::time::Duration;
 
 const ALL_PROTOCOLS: [ProtocolKind; 5] = [
@@ -55,7 +55,7 @@ fn serve_runs_every_protocol_on_the_tcp_fabric() {
 #[test]
 fn serve_with_batching_drains_every_lane() {
     let mut cfg = ServeConfig::quick(ProtocolKind::OptTrack, 5, ServeTransport::Tcp, 31);
-    cfg.batch = Some(BatchWindow::windowed(Duration::from_millis(2)));
+    cfg.batch = Some(BatchPlan::windowed(SimDuration::from_millis(2)));
     cfg.load.w_rate = 0.8; // update-heavy so lanes actually fill
     let report = serve(&cfg).expect("serve runs");
     assert_eq!(report.ops, cfg.load.total_ops(5) as u64);

@@ -3,14 +3,13 @@
 use causal_types::{SimDuration, SimTime, SiteId};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How long a message spends in transit on the `from → to` channel.
 ///
 /// Whatever the model, the [`ChannelMatrix`] enforces FIFO per ordered site
 /// pair (a later send never overtakes an earlier one on the same channel),
 /// matching TCP's in-order delivery in the paper's testbed.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum LatencyModel {
     /// Fixed one-way latency.
     Constant {

@@ -19,9 +19,12 @@
 //!
 //! * [`kernel`] — the event heap and virtual clock;
 //! * [`channel`] — reliable FIFO channels with latency models;
-//! * [`sim`] — the full-system driver: schedules application operations,
-//!   routes protocol effects, gathers [`causal_metrics::RunMetrics`] and
-//!   records a [`causal_checker::History`] for post-run verification.
+//! * [`sim`] — the full-system driver: an event loop around one
+//!   [`causal_proto::SiteHost`] per site (the per-site layer the live
+//!   runtime shares), plus the simulator-only layers — the lossy
+//!   transport, crash recovery and WAL, churn, and stability tracking. It
+//!   gathers [`causal_metrics::RunMetrics`] and records a
+//!   [`causal_checker::History`] for post-run verification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

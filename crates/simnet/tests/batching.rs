@@ -6,9 +6,11 @@
 //! parked, and apply exactly as many updates as the unbatched run.
 
 use causal_checker::check;
+use causal_obs::{BufTracer, EventKind, TraceEvent};
 use causal_proto::ProtocolKind;
-use causal_simnet::{run, BatchPlan, SimConfig};
-use causal_types::{MsgKind, SimDuration, SizeModel};
+use causal_simnet::{run, run_traced, BatchPlan, SimConfig};
+use causal_types::{MsgKind, SimDuration, SiteId, SizeModel};
+use std::collections::{HashMap, VecDeque};
 
 const ALL_FIVE: [(ProtocolKind, bool); 5] = [
     (ProtocolKind::FullTrack, true),
@@ -131,4 +133,76 @@ fn count_bound_caps_batch_size() {
     assert_eq!(r.metrics.batched_sms, 2 * r.metrics.batch_flushes);
     let v = check(r.history.as_ref().unwrap());
     assert!(v.protocol_clean(), "{:?}", v.examples);
+}
+
+/// Deliveries that overtook an earlier message on their channel: for the
+/// ordered pair `(from, to)`, `to` delivered a message `from` issued
+/// before the one delivered just ahead of it. An SM is issued by its write
+/// (it may then wait in a lane), an FM by its fetch issue, an RM by its
+/// send; issue order is the sender's own trace order.
+fn fifo_overtakes(events: &[TraceEvent]) -> Vec<(SiteId, SiteId, MsgKind)> {
+    let mut write_at: HashMap<(SiteId, u64), usize> = HashMap::new();
+    let mut fm_at: HashMap<(SiteId, SiteId), VecDeque<usize>> = HashMap::new();
+    let mut rm_at: HashMap<(SiteId, SiteId), VecDeque<usize>> = HashMap::new();
+    for (i, e) in events.iter().enumerate() {
+        match e.kind {
+            EventKind::Write { clock, .. } => {
+                write_at.insert((e.site, clock), i);
+            }
+            EventKind::FetchIssue { target, .. } => {
+                fm_at.entry((e.site, target)).or_default().push_back(i)
+            }
+            EventKind::Send {
+                to,
+                kind: MsgKind::Rm,
+                ..
+            } => rm_at.entry((e.site, to)).or_default().push_back(i),
+            _ => {}
+        }
+    }
+    let mut last_issue: HashMap<(SiteId, SiteId), usize> = HashMap::new();
+    let mut overtakes = Vec::new();
+    for e in events {
+        let EventKind::Deliver { from, kind, writer } = e.kind else {
+            continue;
+        };
+        let channel = (from, e.site);
+        let issued = match kind {
+            MsgKind::Sm => {
+                let w = writer.expect("an SM names its write");
+                write_at.get(&(w.site, w.clock)).copied()
+            }
+            MsgKind::Fm => fm_at.get_mut(&channel).and_then(|q| q.pop_front()),
+            MsgKind::Rm => rm_at.get_mut(&channel).and_then(|q| q.pop_front()),
+        }
+        .expect("every delivered message was issued");
+        if last_issue.get(&channel).is_some_and(|&prev| prev > issued) {
+            overtakes.push((from, e.site, kind));
+        }
+        last_issue.insert(channel, issued);
+    }
+    overtakes
+}
+
+#[test]
+fn batched_channels_stay_fifo_in_issue_order() {
+    // A remote read's FM must not leave while the reader's own earlier
+    // updates toward the same server still sit in their lane: the server
+    // would answer without them.
+    let plan = BatchPlan::windowed(SimDuration::from_millis(30_000));
+    for (kind, partial) in ALL_FIVE {
+        for seed in 0..4 {
+            let mut tracer = BufTracer::new();
+            let r = run_traced(&cfg(kind, partial, seed, Some(plan)), &mut tracer);
+            assert_eq!(r.final_pending, 0, "{kind} seed {seed}: parked updates");
+            let overtakes = fifo_overtakes(&tracer.events);
+            assert!(
+                overtakes.is_empty(),
+                "{kind} seed {seed}: {} deliveries overtook an earlier message on \
+                 their channel, e.g. {:?}",
+                overtakes.len(),
+                &overtakes[..overtakes.len().min(3)]
+            );
+        }
+    }
 }

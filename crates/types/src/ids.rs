@@ -1,6 +1,5 @@
 //! Site, variable and write identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a site.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The paper assumes exactly one application process per site, so a `SiteId`
 /// doubles as the identifier of the application process `ap_i` hosted there.
 /// Sites are numbered densely `0..n`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub u16);
 
 impl SiteId {
@@ -47,7 +46,7 @@ impl fmt::Display for SiteId {
 ///
 /// The distributed shared memory holds `q` variables; variables are numbered
 /// densely `0..q`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(pub u32);
 
 impl VarId {
@@ -88,7 +87,7 @@ impl fmt::Display for VarId {
 /// (the first write by a site has `clock == 1`). Two writes by the same site
 /// are totally ordered by `clock`; this is the 2-tuple representation that
 /// Opt-Track-CRP uses as its entire log-entry format.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WriteId {
     /// The writing site (and application process).
     pub site: SiteId,

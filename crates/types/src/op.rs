@@ -2,12 +2,11 @@
 
 use crate::ids::{SiteId, VarId};
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an operation within a run: the issuing site and the
 /// zero-based position of the operation in that site's local history `h_i`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId {
     /// Site whose application process issued the operation.
     pub site: SiteId,
@@ -29,7 +28,7 @@ impl fmt::Debug for OpId {
 }
 
 /// The two kinds of application operation in the causal memory model.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// `w(x)v` — write synthetic data `data` to variable `var`.
     Write {
@@ -64,7 +63,7 @@ impl OpKind {
 /// The paper drives every application process from a pre-generated temporal
 /// schedule ("a event schedule planned in advance ... randomly generated",
 /// §IV-C); the simulator and threaded runtime both consume these.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ScheduledOp {
     /// Earliest virtual time at which the operation may be issued. If the
     /// process is still blocked in a remote fetch at this time, the operation

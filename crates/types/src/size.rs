@@ -15,10 +15,9 @@
 //! conclusions do not depend on the Java calibration.
 
 use crate::msg::MsgKind;
-use serde::{Deserialize, Serialize};
 
 /// How a log entry's destination set is encoded on the wire.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DestsEncoding {
     /// One scalar-sized word per destination **set** (a packed bitmask).
     /// This matches the paper's Java implementation, which keeps the
@@ -36,7 +35,7 @@ pub enum DestsEncoding {
 /// scalar fields in the piggybacked causality structure) + the destination
 /// sets under [`DestsEncoding`]. The *value payload* is never counted — the
 /// paper measures control overhead only.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SizeModel {
     /// Fixed overhead of an SM message (headers, variable id, value slot).
     pub sm_base: u32,

@@ -1,6 +1,5 @@
 //! Virtual time for the discrete-event simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
@@ -10,7 +9,7 @@ use std::time::Duration;
 /// The paper schedules operation events with inter-event delays drawn
 /// uniformly from [5 ms, 2005 ms]; nanosecond resolution keeps channel
 /// latencies and tie-breaking well below that granularity.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -75,7 +74,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of virtual time, with nanosecond resolution.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {

@@ -1,7 +1,6 @@
 //! Values stored in replicas.
 
 use crate::ids::WriteId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The value held by a variable replica, tagged with provenance.
@@ -16,7 +15,7 @@ use std::fmt;
 /// that real payloads — photos, videos, web pages — dwarf the metadata; the
 /// experiments measure metadata only, but examples and the analytic model in
 /// §V-C use the payload size).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VersionedValue {
     /// The write operation that produced this value.
     pub writer: WriteId,

@@ -87,6 +87,41 @@ fn sim_and_threaded_runtime_agree_on_message_counts() {
 }
 
 #[test]
+fn sim_and_threaded_runtime_agree_per_site() {
+    // Both instruments drive the same per-site host, so with batching off
+    // every site's send, delivery and apply counters must match site for
+    // site on the same replay schedule — not just in total.
+    let (n, seed, events) = (6, 77, 40);
+    for kind in [
+        ProtocolKind::FullTrack,
+        ProtocolKind::OptTrack,
+        ProtocolKind::HbTrack,
+        ProtocolKind::OptTrackCrp,
+        ProtocolKind::OptP,
+    ] {
+        let mut sim_cfg = if kind.supports_partial() {
+            SimConfig::paper_partial(kind, n, 0.5, seed)
+        } else {
+            SimConfig::paper_full(kind, n, 0.5, seed)
+        };
+        sim_cfg.workload.events_per_process = events;
+        let sim = causal_repro::simnet::run(&sim_cfg);
+        let rt = run_threaded(&RuntimeConfig::fast(kind, n, 0.5, seed, events));
+        for i in 0..n {
+            let (s, r) = (
+                sim.metrics.per_site.site(i).expect("sim site"),
+                rt.metrics.per_site.site(i).expect("runtime site"),
+            );
+            assert_eq!(
+                (s.sends, s.delivers, s.applies),
+                (r.sends, r.delivers, r.applies),
+                "{kind} s{i}: (sends, delivers, applies) differ between sim and runtime"
+            );
+        }
+    }
+}
+
+#[test]
 fn size_models_preserve_the_papers_ordering() {
     // The Opt-Track vs Full-Track comparison must hold under both byte
     // calibrations (the conclusions are not artifacts of the Java model).
