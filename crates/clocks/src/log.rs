@@ -148,6 +148,15 @@ impl Log {
         Log::default()
     }
 
+    /// The empty log with room for `n` entries (the wire decoder sizes a
+    /// piggybacked log from its entry count).
+    pub fn with_capacity(n: usize) -> Self {
+        Log {
+            entries: Vec::with_capacity(n),
+            dest_ids: 0,
+        }
+    }
+
     /// Number of entries (including empty-destination markers).
     #[inline]
     pub fn len(&self) -> usize {
@@ -187,7 +196,27 @@ impl Log {
     /// destination sets are intersected (both sides' prunings are sound).
     /// Used by the protocols to attach a write's own entry to the log stored
     /// in `LastWriteOn⟨h⟩`.
+    ///
+    /// A key past the last entry is appended without a search, so
+    /// upserting an already-sorted sequence (a decoded log, a write's own
+    /// entry) is one pass. Inlinable across crates; the search stays out
+    /// of line.
+    #[inline]
     pub fn upsert(&mut self, entry: LogEntry) {
+        if self
+            .entries
+            .last()
+            .is_none_or(|l| (l.origin, l.clock) < (entry.origin, entry.clock))
+        {
+            self.entries.push(entry);
+            self.dest_ids += entry.dests.len();
+        } else {
+            self.upsert_within(entry);
+        }
+    }
+
+    /// [`Log::upsert`] for a key at or before the last entry.
+    fn upsert_within(&mut self, entry: LogEntry) {
         match self
             .entries
             .binary_search_by(|e| (e.origin, e.clock).cmp(&(entry.origin, entry.clock)))
@@ -1080,6 +1109,19 @@ mod tests {
             // mutation path.
             let mut m = a.clone();
             assert_counters(&m);
+            // Re-upserting a's sorted entries takes the append path for
+            // every one of them; b's then mix appends, inserts and
+            // same-key intersections.
+            let mut u = Log::with_capacity(a.len());
+            for e in a.iter() {
+                u.upsert(*e);
+                assert_counters(&u);
+            }
+            prop_assert_eq!(&u, &a);
+            for e in b.iter() {
+                u.upsert(*e);
+                assert_counters(&u);
+            }
             m.merge(&b, cfg());
             assert_counters(&m);
             m.record_write(s(0), 99, d(&[1, 2, 3]), cfg());

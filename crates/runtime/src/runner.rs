@@ -149,10 +149,13 @@ impl WakeLatch {
     }
 
     /// Set the token and wake the parked owner, if any. Saturating: an
-    /// already-signalled latch stays signalled.
+    /// already-signalled latch stays signalled, and signals nothing — the
+    /// notifier that set the token has its own signal on the way, and the
+    /// owner cannot consume the token without taking the lock first.
     pub(crate) fn notify(&self) {
-        locked(&self.0.token, |t| *t = true);
-        self.0.cv.notify_one();
+        if !locked(&self.0.token, |t| std::mem::replace(t, true)) {
+            self.0.cv.notify_one();
+        }
     }
 
     /// Park until the token is set (consuming it — returns `true`) or
@@ -381,7 +384,12 @@ impl Routes {
 
     /// Nudge the worker that owns `site`.
     pub(crate) fn wake_owner(&self, site: usize) {
-        self.wakes[self.owner[site]].notify();
+        self.wake(self.owner[site]);
+    }
+
+    /// Nudge worker `w`.
+    pub(crate) fn wake(&self, w: usize) {
+        self.wakes[w].notify();
     }
 
     /// Enqueue a frame for `site` *without* waking its owner — for senders
@@ -659,5 +667,86 @@ pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
         metrics,
         final_pending,
         elapsed: start.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_latch_saturates_two_notifies_into_one_wake() {
+        let latch = WakeLatch::new();
+        latch.notify();
+        latch.notify();
+        let soon = || Some(Instant::now() + Duration::from_millis(20));
+        assert!(latch.wait_until(soon()), "the token is set");
+        assert!(!latch.wait_until(soon()), "one token, consumed once");
+    }
+
+    #[test]
+    fn wake_latch_notify_wakes_an_already_parked_waiter() {
+        // The waiter is parked on the condvar before one or two notifiers
+        // are released together. With two, one sets the token and
+        // signals and the other may find it set and skip its signal; in
+        // both cases the waiter must wake long before its deadline.
+        const DEADLINE: Duration = Duration::from_secs(10);
+        const NAME: &str = "latch-waiter";
+        for round in 0..20 {
+            let latch = WakeLatch::new();
+            let waiter = {
+                let l = latch.clone();
+                std::thread::Builder::new()
+                    .name(NAME.into())
+                    .spawn(move || {
+                        let t0 = Instant::now();
+                        (l.wait_until(Some(t0 + DEADLINE)), t0.elapsed())
+                    })
+                    .unwrap()
+            };
+            await_sleeping(NAME);
+            let racers = 1 + round % 2;
+            let go = Arc::new(std::sync::Barrier::new(racers));
+            let notifiers: Vec<_> = (0..racers)
+                .map(|_| {
+                    let (l, go) = (latch.clone(), go.clone());
+                    std::thread::spawn(move || {
+                        go.wait();
+                        l.notify();
+                    })
+                })
+                .collect();
+            for h in notifiers {
+                h.join().unwrap();
+            }
+            let (woken, waited) = waiter.join().unwrap();
+            assert!(woken, "round {round}: the waiter took the token");
+            assert!(waited < DEADLINE / 2, "round {round}: woken, not timed out");
+        }
+    }
+
+    /// Spin until the thread named `name` sleeps in the kernel, read from
+    /// its `/proc/self/task/*/stat` state. The waiter's only blocking
+    /// call is `wait_until`, so the state shows it parked there.
+    fn await_sleeping(name: &str) {
+        loop {
+            for task in std::fs::read_dir("/proc/self/task").expect("Linux procfs") {
+                let dir = task.expect("task entry").path();
+                let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+                if comm.trim_end() != name {
+                    continue;
+                }
+                let stat = std::fs::read_to_string(dir.join("stat")).unwrap_or_default();
+                // `pid (comm) state …`: the state follows the last ')'.
+                let state = stat
+                    .rsplit(')')
+                    .next()
+                    .and_then(|r| r.trim_start().chars().next());
+                if state == Some('S') {
+                    return;
+                }
+            }
+            std::thread::yield_now();
+        }
     }
 }

@@ -32,9 +32,9 @@
 //! allocation.
 //!
 //! Receivers route on the header, not on the connection: a frame for any
-//! valid site is delivered to that site's mailbox and its owner woken,
-//! so a frame arriving on an unexpected connection is *rerouted*, never
-//! dropped.
+//! valid site is pushed into that site's mailbox and its owner woken (see
+//! *Coalesced reads* for when), so a frame arriving on an unexpected
+//! connection is *rerouted*, never dropped.
 //!
 //! ## Coalesced writes
 //!
@@ -47,6 +47,19 @@
 //! A failed write marks the connection dead and un-counts the queued
 //! frames from the in-flight tally; later sends fail fast.
 //!
+//! ## Coalesced reads
+//!
+//! The reader mirrors the writer. It reads through a 64 KiB buffer, so
+//! one `read(2)` pulls in every frame a coalesced write shipped, and it
+//! reuses one body buffer across frames. Each frame is decoded and pushed
+//! into its mailbox without a wake; the reader only notes the owning
+//! worker. When the buffer runs short of the next header or body — the
+//! next read is the one that can block — it wakes each noted worker
+//! once. A burst of frames for one worker therefore costs one wake, not
+//! one per frame, and no worker sleeps on a frame already in its
+//! mailbox. A connection that ends, cleanly or on a bad frame, wakes the
+//! owners of the frames it already routed before the reader returns.
+//!
 //! ## Handshake & teardown
 //!
 //! Each worker binds an ephemeral listener; worker `a` dials every `b > a`
@@ -55,7 +68,7 @@
 //! unacked data and poison the latency tails the serve mode measures.
 //! Teardown is ordered: drop the transport (disconnecting every writer's
 //! queue), join the writers, then `shutdown(Both)` each socket to wake the
-//! readers blocked in `read_exact` (they hold dups of the fd, so a plain
+//! readers blocked in `read` (they hold dups of the fd, so a plain
 //! drop would never deliver the EOF) and join them — nothing leaks.
 
 use crate::node::{OpDriver, Transport, Wire};
@@ -65,7 +78,7 @@ use crate::runner::{
 use causal_proto::{wire, Msg, Replication};
 use causal_types::{Error, Result, SiteId};
 use causal_workload::generate;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -76,6 +89,10 @@ use std::time::{Duration, Instant};
 /// Coalescing bound: a writer stops draining its queue once the batched
 /// buffer reaches this size, ships it, and comes back for the rest.
 const WRITE_COALESCE_BYTES: usize = 256 * 1024;
+
+/// Read-side buffering bound: each reader pulls up to this many bytes of
+/// queued frames per `read(2)`.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// A blocked writer gives up (and declares the connection dead) after
 /// this long — insurance against a peer that stopped draining.
@@ -202,58 +219,90 @@ fn writer_loop(
     }
 }
 
-/// One connection endpoint's reader: decode framed routed messages and
-/// deliver each to the mailbox its *header* names (waking the owning
-/// worker) until EOF. A frame that fails validation — length beyond
-/// [`wire::MAX_FRAME`], reserved flag bits, a body the codec rejects, or
-/// a destination outside the system — counts a connection error and fails
-/// the connection cleanly.
-fn reader_loop(mut stream: TcpStream, routes: Arc<Routes>, conn_errors: Arc<AtomicU64>) {
+/// Why a reader stopped.
+enum ReadEnd {
+    /// EOF, a failed read, or a destination whose worker already exited.
+    Closed,
+    /// The peer sent a frame that fails validation.
+    Invalid,
+}
+
+/// Wake every worker marked in `owed` once, and clear the marks.
+fn flush_wakes(routes: &Routes, owed: &mut [bool]) {
+    for (w, o) in owed.iter_mut().enumerate() {
+        if std::mem::take(o) {
+            routes.wake(w);
+        }
+    }
+}
+
+/// One connection endpoint's reader: route framed messages to the
+/// mailboxes their *headers* name until EOF, waking each owning worker
+/// once per drained read buffer rather than once per frame. A frame that
+/// fails validation — length beyond [`wire::MAX_FRAME`], reserved flag
+/// bits, a body the codec rejects, or a destination outside the system —
+/// counts a connection error and fails the connection cleanly. However
+/// the connection ends, the frames already routed have their owners
+/// woken first.
+fn reader_loop(stream: TcpStream, routes: Arc<Routes>, conn_errors: Arc<AtomicU64>) {
+    let mut owed = vec![false; routes.workers()];
+    let end = read_frames(&stream, &routes, &mut owed);
+    flush_wakes(&routes, &mut owed);
+    if let ReadEnd::Invalid = end {
+        conn_errors.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The reader's frame loop. Each decoded frame is pushed without a wake
+/// and its owner marked in `owed`; the marks are flushed whenever the
+/// next read needs more bytes than the buffer holds — the one read that
+/// can block — so a parked worker never waits on a frame the reader has
+/// already routed.
+fn read_frames(stream: &TcpStream, routes: &Routes, owed: &mut [bool]) -> ReadEnd {
+    let mut rd = BufReader::with_capacity(READ_BUF_BYTES, stream);
     let mut header = [0u8; 5];
+    let mut body: Vec<u8> = Vec::new();
     loop {
-        if stream.read_exact(&mut header).is_err() {
-            return; // EOF: shutdown
+        if rd.buffer().len() < header.len() {
+            flush_wakes(routes, owed);
+        }
+        if rd.read_exact(&mut header).is_err() {
+            return ReadEnd::Closed;
         }
         let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
         let flags = header[4];
         if len > wire::MAX_FRAME || flags > 1 {
             // Never trust the prefix: a corrupt length would otherwise ask
             // for an allocation of up to 4 GiB.
-            conn_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+            return ReadEnd::Invalid;
         }
-        let measured = flags & 1 != 0;
-        let mut buf = vec![0u8; len];
-        if stream.read_exact(&mut buf).is_err() {
-            return;
+        if rd.buffer().len() < len {
+            flush_wakes(routes, owed);
         }
-        let routed = match wire::decode_routed(&buf) {
-            Ok(r) => r,
-            Err(_) => {
-                conn_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
+        body.resize(len, 0);
+        if rd.read_exact(&mut body).is_err() {
+            return ReadEnd::Closed;
+        }
+        let Ok(routed) = wire::decode_routed(&body) else {
+            return ReadEnd::Invalid;
         };
-        if routed.dst.index() >= routes.sites() {
-            conn_errors.fetch_add(1, Ordering::Relaxed);
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+        let dst = routed.dst.index();
+        if dst >= routes.sites() {
+            return ReadEnd::Invalid;
         }
         // Route on the header, not the connection: any in-range
         // destination is honoured, so a wrong-shard frame is rerouted to
         // its owner rather than dropped.
-        if !routes.deliver(
-            routed.dst.index(),
-            Wire::Msg {
-                from: routed.src,
-                msg: routed.msg,
-                measured,
-            },
-        ) {
-            return; // node already gone
+        let frame = Wire::Msg {
+            from: routed.src,
+            msg: routed.msg,
+            measured: flags & 1 != 0,
+        };
+        if !routes.push(dst, frame) {
+            return ReadEnd::Closed; // node already gone
         }
+        owed[routes.owner(dst)] = true;
     }
 }
 
@@ -302,7 +351,7 @@ impl Mesh {
         for h in writers {
             let _ = h.join();
         }
-        // Readers block in read_exact on a dup of the fd — only an
+        // Readers block in read on a dup of the fd — only an
         // explicit shutdown delivers the EOF that wakes them.
         for s in &shutdowns {
             let _ = s.shutdown(Shutdown::Both);
@@ -462,7 +511,8 @@ pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
 mod tests {
     use super::*;
     use crate::runner::test_fabric;
-    use causal_proto::Fm;
+    use causal_clocks::MatrixClock;
+    use causal_proto::{Fm, Rm, RmMeta};
     use causal_types::VarId;
 
     /// A connected loopback socket pair.
@@ -597,6 +647,147 @@ mod tests {
         assert_eq!(errs.load(Ordering::Relaxed), 0);
         tx.shutdown(Shutdown::Both).unwrap();
         reader.join().unwrap();
+    }
+
+    /// `msg` framed exactly as a writer ships it.
+    fn framed(src: usize, dst: usize, msg: &Msg, measured: bool) -> Vec<u8> {
+        let mut buf = Vec::new();
+        append_frame(
+            &mut buf,
+            &OutFrame {
+                src: SiteId::from(src),
+                dst: SiteId::from(dst),
+                msg: msg.clone(),
+                measured,
+            },
+        );
+        buf
+    }
+
+    /// Unwrap a delivered message.
+    fn delivered(wire: Option<Wire>) -> (SiteId, Msg, bool) {
+        match wire {
+            Some(Wire::Msg {
+                from,
+                msg,
+                measured,
+            }) => (from, msg, measured),
+            Some(Wire::Stop) => panic!("expected a message, got Stop"),
+            None => panic!("expected a message, got nothing"),
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_still_wakes_the_owners_of_earlier_frames() {
+        // 4 sites over 2 workers: {0, 2} on worker 0, {1, 3} on worker 1.
+        // Valid frames for sites 0, 1 and 3, then a garbage body, all in
+        // one write that lands before the reader starts — so one read
+        // sees all of it, the valid frames are routed without a wake, and
+        // the corrupt one ends the connection before the buffer drains.
+        let (mut tx, rx) = pair();
+        let (routes, mailboxes) = test_fabric(4, 2);
+        let errs = Arc::new(AtomicU64::new(0));
+        let sent = [(0usize, 10u32), (1, 11), (3, 13)];
+        let mut bytes = Vec::new();
+        for &(dst, var) in &sent {
+            bytes.extend(framed(2, dst, &Msg::Fm(Fm { var: VarId(var) }), true));
+        }
+        let garbage = [0xFFu8; 16];
+        bytes.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&garbage);
+        tx.write_all(&bytes).unwrap();
+
+        spawn_reader(rx, routes.clone(), errs.clone())
+            .join()
+            .expect("reader exits cleanly");
+        assert_eq!(errs.load(Ordering::Relaxed), 1, "one connection error");
+        for &(dst, var) in &sent {
+            let (from, msg, _) = delivered(mailboxes[dst].try_recv_test());
+            assert_eq!(from, SiteId::from(2usize));
+            assert_eq!(msg, Msg::Fm(Fm { var: VarId(var) }));
+        }
+        // The reader has exited, so the wakes must already be set.
+        assert!(routes.take_wake(0, Duration::ZERO), "worker 0 woken");
+        assert!(routes.take_wake(1, Duration::ZERO), "worker 1 woken");
+    }
+
+    #[test]
+    fn coalesced_and_byte_split_reads_deliver_every_frame_in_order() {
+        // A run of routed frames of very different sizes — one-byte-var
+        // FMs up to a matrix RM larger than the whole read buffer — sent
+        // once as a single write and once one byte per write, so frames,
+        // bodies and headers straddle reads at every offset.
+        let mut big = MatrixClock::new(128);
+        for j in 0..128usize {
+            for k in 0..128usize {
+                // Six- to seven-byte varints: ~100 KiB of cells.
+                big.set(
+                    SiteId::from(j),
+                    SiteId::from(k),
+                    (1 << 40) + (j * 128 + k) as u64,
+                );
+            }
+        }
+        let big_rm = Msg::Rm(Rm {
+            var: VarId(1),
+            value: None,
+            meta: RmMeta::FullTrack(Some(Arc::new(big))),
+        });
+        let frames: Vec<(usize, usize, Msg, bool)> = (0..24u32)
+            .map(|i| {
+                let msg = if i == 9 {
+                    big_rm.clone()
+                } else {
+                    Msg::Fm(Fm {
+                        var: VarId(i << (i % 5 * 6)),
+                    })
+                };
+                (i as usize % 5, (i as usize * 3) % 5, msg, i % 2 == 0)
+            })
+            .collect();
+        let bytes: Vec<u8> = frames
+            .iter()
+            .flat_map(|(src, dst, msg, measured)| framed(*src, *dst, msg, *measured))
+            .collect();
+        assert!(
+            framed(0, 0, &big_rm, false).len() > READ_BUF_BYTES,
+            "one frame outgrows the read buffer"
+        );
+
+        for split in [false, true] {
+            // 5 sites over 2 workers: {0, 2, 4} on worker 0, {1, 3} on 1.
+            let (mut tx, rx) = pair();
+            tx.set_nodelay(true).unwrap();
+            let (routes, mailboxes) = test_fabric(5, 2);
+            let errs = Arc::new(AtomicU64::new(0));
+            let reader = spawn_reader(rx, routes.clone(), errs.clone());
+            if split {
+                for b in &bytes {
+                    tx.write_all(std::slice::from_ref(b)).unwrap();
+                }
+            } else {
+                tx.write_all(&bytes).unwrap();
+            }
+            for (src, dst, msg, measured) in &frames {
+                let got = delivered(mailboxes[*dst].recv_timeout(Duration::from_secs(5)));
+                assert_eq!(
+                    got,
+                    (SiteId::from(*src), msg.clone(), *measured),
+                    "split {split}"
+                );
+            }
+            for w in 0..2 {
+                assert!(
+                    routes.take_wake(w, Duration::from_secs(5)),
+                    "split {split}: worker {w} woken"
+                );
+            }
+            tx.shutdown(Shutdown::Both).unwrap();
+            reader.join().unwrap();
+            assert_eq!(errs.load(Ordering::Relaxed), 0, "split {split}");
+            assert!(mailboxes.iter().all(|m| m.try_recv_test().is_none()));
+        }
     }
 
     #[test]
