@@ -92,6 +92,7 @@ use causal_experiments::trace::{check_trace, write_trace};
 use causal_memory::{Placement, PlacementKind};
 use causal_obs::BufTracer;
 use causal_proto::ProtocolKind;
+use causal_runtime::ServeTransport;
 use causal_simnet::{
     run, run_traced, CrashWindow, DurabilityPlan, FaultPlan, LatencyModel, PartitionWindow,
     SimConfig, StabilityPlan,
@@ -130,7 +131,7 @@ struct Args {
     jobs: usize,
     trace: Option<String>,
     verify_trace: bool,
-    runtime: Option<String>,
+    runtime: Option<ServeTransport>,
 }
 
 fn parse() -> Args {
@@ -268,11 +269,11 @@ fn parse() -> Args {
             "--trace" => a.trace = Some(val()),
             "--verify-trace" => a.verify_trace = true,
             "--runtime" => {
-                let v = val();
-                match v.as_str() {
-                    "channel" | "tcp" => a.runtime = Some(v),
+                a.runtime = Some(match val().as_str() {
+                    "channel" => ServeTransport::Channel,
+                    "tcp" => ServeTransport::Tcp,
                     other => die(&format!("unknown runtime {other} (channel|tcp)")),
-                }
+                });
             }
             "--churn" => a.churn = Some(val()),
             "--stability" => a.stability = true,
@@ -418,7 +419,7 @@ fn multi_seed(a: &Args, cfg: &SimConfig) {
 /// `--runtime` mode: replay the configured cell on the threaded runtime
 /// (real threads, channel or loopback-TCP transport) and print its
 /// counters in the same shape as the simulated run.
-fn run_on_runtime(a: &Args, which: &str) {
+fn run_on_runtime(a: &Args, transport: ServeTransport) {
     let sim_only = [
         (a.partition.is_some(), "--partition"),
         (a.faults.is_some(), "--faults"),
@@ -466,13 +467,13 @@ fn run_on_runtime(a: &Args, which: &str) {
         workers: 0,
     };
     let t0 = std::time::Instant::now();
-    let out = match which {
-        "channel" => causal_runtime::run_threaded(&cfg),
-        "tcp" => causal_runtime::run_tcp(&cfg).unwrap_or_else(|e| die(&format!("{e:?}"))),
-        _ => unreachable!("validated in parse"),
-    };
+    let out = causal_runtime::run(&cfg, transport).unwrap_or_else(|e| die(&format!("{e:?}")));
     let m = &out.metrics;
-    println!("protocol        {} (runtime: {which})", a.protocol);
+    println!(
+        "protocol        {} (runtime: {})",
+        a.protocol,
+        transport.label()
+    );
     println!(
         "workload        {} events/proc, w_rate {}, seed {}, time scale 0.005",
         a.events, a.w, a.seed
@@ -517,8 +518,8 @@ fn run_on_runtime(a: &Args, which: &str) {
 
 fn main() {
     let a = parse();
-    if let Some(which) = a.runtime.clone() {
-        run_on_runtime(&a, &which);
+    if let Some(transport) = a.runtime {
+        run_on_runtime(&a, transport);
         return;
     }
     let placement = if a.protocol.supports_partial() {

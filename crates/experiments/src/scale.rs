@@ -25,15 +25,13 @@
 //!   that the scheduler rewrite did not perturb protocol behavior: message
 //!   counts must match the simulator exactly.
 //!
-//! The table lands in `BENCH_PR10.json` (in `--out` or the working
+//! The table lands in `BENCH_SCALE.json` (in `--out` or the working
 //! directory) together with the host's available parallelism.
 
 use causal_checker::check;
 use causal_metrics::Table;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, RuntimeConfig, ServeConfig, ServeTransport};
-use causal_simnet::SimConfig;
-use causal_types::MsgKind;
+use causal_runtime::{ServeConfig, ServeTransport};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -125,34 +123,11 @@ fn parity_gate(scale: Scale) {
         Scale::Quick => 40,
     };
     eprintln!("[scale] parity: {PROTOCOL} n={n} ({events} events/process) …");
-    let mut sim_cfg = SimConfig::paper_partial(PROTOCOL, n, w, seed);
-    sim_cfg.workload.events_per_process = events;
-    let sim = causal_simnet::run(&sim_cfg);
-    let real_cfg = RuntimeConfig::fast(PROTOCOL, n, w, seed, events);
-    let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("parity: tcp replay: {e:?}"));
-    assert_eq!(real.final_pending, 0, "parity: replay must drain");
-    assert_eq!(sim.metrics.writes, real.metrics.writes, "parity: writes");
-    assert_eq!(sim.metrics.reads, real.metrics.reads, "parity: reads");
-    assert_eq!(
-        sim.metrics.remote_reads, real.metrics.remote_reads,
-        "parity: remote reads"
-    );
-    for mk in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-        assert_eq!(
-            sim.metrics.all.count(mk),
-            real.metrics.all.count(mk),
-            "parity: total {mk:?} count"
-        );
-        assert_eq!(
-            sim.metrics.measured.count(mk),
-            real.metrics.measured.count(mk),
-            "parity: measured {mk:?} count"
-        );
-    }
+    crate::serve::replay_parity(PROTOCOL, true, n, w, seed, events);
 }
 
 /// The `repro scale` job: parity gate first, then the old-vs-new fabric
-/// sweep, then the `BENCH_PR10.json` artifact.
+/// sweep, then the `BENCH_SCALE.json` artifact.
 pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
     parity_gate(scale);
 
@@ -255,9 +230,9 @@ pub fn scale_sweep(scale: Scale, out: Option<&Path>) -> Table {
          \"sharded_workers\": {SHARDED_WORKERS},\n  \"cells\": [\n{cell_lines}  ]\n}}\n"
     );
     let path = out
-        .map(|d| d.join("BENCH_PR10.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_PR10.json"));
-    std::fs::write(&path, &json).expect("write BENCH_PR10.json");
+        .map(|d| d.join("BENCH_SCALE.json"))
+        .unwrap_or_else(|| PathBuf::from("BENCH_SCALE.json"));
+    std::fs::write(&path, &json).expect("write BENCH_SCALE.json");
     eprintln!("[scale] wrote {}", path.display());
     t
 }
@@ -276,8 +251,12 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("per-site") && csv.contains("sharded"));
         assert!(csv.contains("40,sharded,4,28,"), "n=40 runs on 28 threads");
-        let json = std::fs::read_to_string(dir.join("BENCH_PR10.json")).unwrap();
+        let json = std::fs::read_to_string(dir.join("BENCH_SCALE.json")).unwrap();
         assert!(json.contains("\"sharded_workers\": 4"));
+        assert!(
+            !dir.join("BENCH_PR10.json").exists(),
+            "the scale sweep leaves `repro bench`'s artifact name alone"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,9 +35,9 @@
 //! the sweep asserts that stricter bound where it holds.
 
 use causal_checker::check;
-use causal_metrics::Table;
+use causal_metrics::{RunMetrics, Table};
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, serve, RuntimeConfig, ServeConfig, ServeTransport};
+use causal_runtime::{run, serve, RuntimeConfig, ServeConfig, ServeTransport};
 use causal_simnet::SimConfig;
 use causal_types::MsgKind;
 use std::time::Duration;
@@ -129,6 +129,53 @@ pub fn serve_bench(scale: Scale) -> Table {
     t
 }
 
+/// Replay the simulator's workload (`n` sites at write rate `w`, `seed`,
+/// `events` per process, paper placement) on the real TCP cluster and
+/// assert what the schedule fixes exactly: the replay drains, the
+/// measured writes, reads and remote reads match, and so do the `all`
+/// and `measured` message counts of every kind. Returns the simulated and
+/// the real metrics, in that order, for the byte checks each caller makes.
+pub(crate) fn replay_parity(
+    kind: ProtocolKind,
+    partial: bool,
+    n: usize,
+    w: f64,
+    seed: u64,
+    events: usize,
+) -> (RunMetrics, RunMetrics) {
+    let mut sim_cfg = if partial {
+        SimConfig::paper_partial(kind, n, w, seed)
+    } else {
+        SimConfig::paper_full(kind, n, w, seed)
+    };
+    sim_cfg.workload.events_per_process = events;
+    let sim = causal_simnet::run(&sim_cfg).metrics;
+
+    let real_cfg = RuntimeConfig::fast(kind, n, w, seed, events);
+    let real =
+        run(&real_cfg, ServeTransport::Tcp).unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
+    assert_eq!(real.final_pending, 0, "{kind}: replay must drain");
+    let real = real.metrics;
+
+    // The operation tallies are schedule-determined: exact.
+    assert_eq!(sim.writes, real.writes, "{kind}: writes");
+    assert_eq!(sim.reads, real.reads, "{kind}: reads");
+    assert_eq!(sim.remote_reads, real.remote_reads, "{kind}: remote reads");
+    for mk in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
+        assert_eq!(
+            sim.measured.count(mk),
+            real.measured.count(mk),
+            "{kind}: measured {mk:?} count must match exactly"
+        );
+        assert_eq!(
+            sim.all.count(mk),
+            real.all.count(mk),
+            "{kind}: total {mk:?} count must match exactly"
+        );
+    }
+    (sim, real)
+}
+
 /// Sim-vs-real parity: replay the simulator's workload on the real TCP
 /// cluster and compare. Panics on any count mismatch, on byte deltas
 /// beyond [`BYTES_TOLERANCE`], or on optP deviating from exact byte
@@ -151,43 +198,10 @@ pub fn serve_parity(scale: Scale) -> Table {
             "delta",
         ],
     );
-    let (w, seed, events) = (0.3, 7u64, scale.events());
     for (kind, partial) in PROTOCOLS {
-        let mut sim_cfg = if partial {
-            SimConfig::paper_partial(kind, N, w, seed)
-        } else {
-            SimConfig::paper_full(kind, N, w, seed)
-        };
-        sim_cfg.workload.events_per_process = events;
-        let sim = causal_simnet::run(&sim_cfg);
-
-        let real_cfg = RuntimeConfig::fast(kind, N, w, seed, events);
-        let real = run_tcp(&real_cfg).unwrap_or_else(|e| panic!("{kind}: tcp replay: {e:?}"));
-        assert_eq!(real.final_pending, 0, "{kind}: replay must drain");
-
-        // The operation tallies are schedule-determined: exact.
-        assert_eq!(sim.metrics.writes, real.metrics.writes, "{kind}: writes");
-        assert_eq!(sim.metrics.reads, real.metrics.reads, "{kind}: reads");
-        assert_eq!(
-            sim.metrics.remote_reads, real.metrics.remote_reads,
-            "{kind}: remote reads"
-        );
-
+        let (sim, real) = replay_parity(kind, partial, N, 0.3, 7, scale.events());
         for mk in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
-            let (sc, rc) = (
-                sim.metrics.measured.count(mk),
-                real.metrics.measured.count(mk),
-            );
-            let (sb, rb) = (
-                sim.metrics.measured.bytes(mk),
-                real.metrics.measured.bytes(mk),
-            );
-            assert_eq!(sc, rc, "{kind}: measured {mk:?} count must match exactly");
-            assert_eq!(
-                sim.metrics.all.count(mk),
-                real.metrics.all.count(mk),
-                "{kind}: total {mk:?} count must match exactly"
-            );
+            let (sb, rb) = (sim.measured.bytes(mk), real.measured.bytes(mk));
             let delta = rel_delta(sb, rb);
             if kind == ProtocolKind::OptP {
                 assert_eq!(sb, rb, "{kind}: fixed-width piggyback, bytes exact");
@@ -201,8 +215,8 @@ pub fn serve_parity(scale: Scale) -> Table {
             t.push_row(vec![
                 kind.to_string(),
                 format!("{mk:?}"),
-                sc.to_string(),
-                rc.to_string(),
+                sim.measured.count(mk).to_string(),
+                real.measured.count(mk).to_string(),
                 sb.to_string(),
                 rb.to_string(),
                 format!("{:.1}%", delta * 100.0),

@@ -109,9 +109,9 @@ impl SiteRegistry {
     }
 
     /// Fold another registry into this one, site by site. Counters add;
-    /// `StatAccum`s fold as weighted mean contributions (same compromise
-    /// as [`RunMetrics::merge`](crate::RunMetrics::merge)); P² states
-    /// cannot merge and keep this registry's estimate.
+    /// `StatAccum`s merge exactly (as in
+    /// [`RunMetrics::merge`](crate::RunMetrics::merge)); P² states cannot
+    /// merge and keep this registry's estimate.
     pub fn merge(&mut self, other: &SiteRegistry) {
         self.ensure(other.sites.len());
         for (mine, theirs) in self.sites.iter_mut().zip(&other.sites) {
@@ -120,14 +120,8 @@ impl SiteRegistry {
             mine.applies += theirs.applies;
             mine.buffered += theirs.buffered;
             mine.retransmits += theirs.retransmits;
-            for (m, t) in [
-                (&mut mine.dwell_ns, &theirs.dwell_ns),
-                (&mut mine.fetch_rtt_ns, &theirs.fetch_rtt_ns),
-            ] {
-                for _ in 0..t.count() {
-                    m.record(t.mean());
-                }
-            }
+            mine.dwell_ns.merge(&theirs.dwell_ns);
+            mine.fetch_rtt_ns.merge(&theirs.fetch_rtt_ns);
         }
     }
 }

@@ -313,7 +313,10 @@ impl RunMetrics {
     }
 
     /// Fold another run's metrics into this one (multi-seed averaging keeps
-    /// totals; derive means at presentation time).
+    /// totals; derive means at presentation time). Counters add, peaks take
+    /// the maximum, and the `StatAccum` summaries merge exactly. The three
+    /// P² p99 estimators (`apply_latency_p99`, `fetch_rtt_p99`,
+    /// `stability_lag_p99`) cannot merge and keep this side's estimate.
     pub fn merge(&mut self, other: &RunMetrics) {
         self.measured.merge(&other.measured);
         self.all.merge(&other.all);
@@ -368,8 +371,6 @@ impl RunMetrics {
         self.syscall_writes += other.syscall_writes;
         self.mailbox_depth_peak = self.mailbox_depth_peak.max(other.mailbox_depth_peak);
         self.per_site.merge(&other.per_site);
-        // StatAccum cannot merge exactly without the raw moments; fold the
-        // other's summary as a weighted contribution.
         for (mine, theirs) in [
             (&mut self.sm_entries, &other.sm_entries),
             (&mut self.apply_latency_ns, &other.apply_latency_ns),
@@ -380,9 +381,7 @@ impl RunMetrics {
             (&mut self.fetch_rtt_ns, &other.fetch_rtt_ns),
             (&mut self.stability_lag, &other.stability_lag),
         ] {
-            for _ in 0..theirs.count() {
-                mine.record(theirs.mean());
-            }
+            mine.merge(theirs);
         }
     }
 }
@@ -460,6 +459,28 @@ mod tests {
         b.transport_conn_errors = 3;
         a.merge(&b);
         assert_eq!(a.transport_conn_errors, 5);
+    }
+
+    #[test]
+    fn merge_keeps_the_spread_of_both_sides() {
+        // Folding the other side in as `count` copies of its mean would
+        // report max 15 (the other side's mean) and a shrunken std dev.
+        let mut a = RunMetrics::new();
+        a.record_apply_latency(1.0);
+        a.record_apply_latency(2.0);
+        let mut b = RunMetrics::new();
+        b.record_apply_latency(10.0);
+        b.record_apply_latency(20.0);
+        a.merge(&b);
+        let m = &a.apply_latency_ns;
+        assert_eq!(m.count(), 4);
+        assert_eq!(m.max(), Some(20.0));
+        assert_eq!(m.min(), Some(1.0));
+        let xs = [1.0f64, 2.0, 10.0, 20.0];
+        let mean = xs.iter().sum::<f64>() / 4.0;
+        let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 4.0).sqrt();
+        assert!((m.mean() - mean).abs() < 1e-12);
+        assert!((m.std_dev() - sd).abs() < 1e-12, "{} vs {sd}", m.std_dev());
     }
 
     #[test]

@@ -60,14 +60,23 @@ impl MessageStats {
 }
 
 /// Streaming summary statistics (Welford's algorithm): count, mean,
-/// variance, min, max. Constant memory, numerically stable.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
+/// variance, min, max. Constant memory, numerically stable, and exactly
+/// mergeable ([`StatAccum::merge`]).
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct StatAccum {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for StatAccum {
+    /// An empty accumulator, the same as [`StatAccum::new`] (a derived
+    /// default would start min and max at 0 and pin them there).
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StatAccum {
@@ -90,6 +99,28 @@ impl StatAccum {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
+    }
+
+    /// Fold another accumulator into this one: the result holds what one
+    /// accumulator fed both sample streams would (up to rounding), using
+    /// the pairwise count/mean/M2 update of Chan, Golub & LeVeque plus
+    /// min and max. O(1), whatever the sample counts.
+    pub fn merge(&mut self, other: &StatAccum) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        let (na, nb) = (self.count as f64, other.count as f64);
+        let n = na + nb;
+        let delta = other.mean - self.mean;
+        self.mean += delta * nb / n;
+        self.m2 += other.m2 + delta * delta * na * nb / n;
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -174,7 +205,55 @@ mod tests {
         assert!((s.std_dev() - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
+    #[test]
+    fn default_is_empty_and_tracks_min_and_max_from_the_first_sample() {
+        let mut s = StatAccum::default();
+        assert_eq!(s, StatAccum::new());
+        s.record(5.0);
+        s.record(7.0);
+        assert_eq!((s.min(), s.max()), (Some(5.0), Some(7.0)));
+    }
+
+    #[test]
+    fn merge_with_an_empty_side_is_the_other_side() {
+        let mut a = StatAccum::new();
+        a.record(3.0);
+        let before = a;
+        a.merge(&StatAccum::new());
+        assert_eq!(a, before);
+        let mut e = StatAccum::new();
+        e.merge(&before);
+        assert_eq!(e, before);
+    }
+
     proptest! {
+        #[test]
+        fn prop_split_then_merge_matches_one_accumulator(
+            xs in proptest::collection::vec(-1e6f64..1e6, 1..200),
+            cut in 0usize..200,
+        ) {
+            let cut = cut.min(xs.len());
+            let (mut whole, mut left, mut right) =
+                (StatAccum::new(), StatAccum::new(), StatAccum::new());
+            for &x in &xs {
+                whole.record(x);
+            }
+            for &x in &xs[..cut] {
+                left.record(x);
+            }
+            for &x in &xs[cut..] {
+                right.record(x);
+            }
+            left.merge(&right);
+            prop_assert_eq!(left.count(), whole.count());
+            prop_assert_eq!(left.min(), whole.min());
+            prop_assert_eq!(left.max(), whole.max());
+            let scale = 1.0 + whole.mean().abs();
+            prop_assert!((left.mean() - whole.mean()).abs() < 1e-9 * scale);
+            let sd = whole.std_dev();
+            prop_assert!((left.std_dev() - sd).abs() < 1e-6 * (1.0 + sd));
+        }
+
         #[test]
         fn prop_welford_matches_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
             let mut s = StatAccum::new();

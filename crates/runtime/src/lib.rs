@@ -2,12 +2,14 @@
 //!
 //! A real multi-threaded runtime for the causal-consistency protocols: a
 //! sharded M:N scheduler (a fixed pool of `W` worker threads multiplexing
-//! the `n` sites, `W = n` emulating the old thread-per-site fabric), a
-//! transport fabric between the workers (in-process `std::sync::mpsc`
-//! mailboxes or a multiplexed loopback-TCP mesh with one socket per worker
-//! pair and coalesced writes), and two ways to drive operations —
-//! wall-clock schedule replay (scaled) and the closed-loop load generator
-//! behind [`serve`] (budget- or duration-bounded).
+//! the `n` sites, `W = n` emulating the old thread-per-site fabric), one
+//! transport between the workers (a mesh of in-process `std::sync::mpsc`
+//! mailboxes that is either socketless or multiplexed over loopback TCP
+//! with one socket per worker pair and coalesced writes), and two ways to
+//! drive operations — wall-clock schedule replay ([`run`], scaled) and the
+//! closed-loop load generator behind [`serve`] (budget- or
+//! duration-bounded). Both go through one launch path: build the fabric
+//! and mesh, spawn, drive to quiescence, tear down.
 //!
 //! Each site is a [`node::Node`]: a thin shell around the same
 //! [`causal_proto::SiteHost`] the simulator drives, so lanes, batch
@@ -46,6 +48,5 @@ pub mod tcp;
 
 pub use causal_proto::BatchPlan;
 pub use loadgen::LoadProfile;
-pub use runner::{run_threaded, RunOutcome, RuntimeConfig};
+pub use runner::{run, RunOutcome, RuntimeConfig};
 pub use serve::{serve, ServeConfig, ServeReport, ServeTransport};
-pub use tcp::run_tcp;

@@ -10,9 +10,9 @@
 //!   either replaying a pre-generated workload schedule (so a simulator run
 //!   with the same seed predicts this node's traffic message for message)
 //!   or running the closed-loop clients of the `serve` load generator;
-//! * the link to the fabric: frames leave through a [`Transport`] while the
-//!   run-wide in-flight tally is kept, and lane windows become wall-clock
-//!   timers.
+//! * the link to the fabric: frames leave through the run's one
+//!   `MuxTransport` while the run-wide in-flight tally is kept, and lane
+//!   windows become wall-clock timers.
 //!
 //! Nodes do not own a thread. The sharded scheduler in [`crate::runner`]
 //! multiplexes K sites onto each worker, calling [`Node::on_wire`] for
@@ -31,75 +31,15 @@
 //! predictions run for run.
 
 use crate::loadgen::ClosedLoop;
-use crate::runner::{Quiesce, Routes};
+use crate::runner::Quiesce;
+use crate::tcp::MuxTransport;
 use causal_checker::History;
 use causal_metrics::RunMetrics;
 use causal_obs::{NoopTracer, Tracer};
 use causal_proto::{Msg, Outbound, SiteHost};
 use causal_types::{OpKind, ScheduledOp, SimTime, SiteId};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How a node's outgoing messages reach their destination. The node logic
-/// is transport-agnostic: in-process runs use [`ChannelTransport`]
-/// (`std::sync::mpsc` mailboxes), the TCP runner in [`crate::tcp`] moves the same
-/// frames over multiplexed loopback sockets — the paper's actual
-/// transport.
-pub trait Transport: Send + Sync {
-    /// Deliver `msg` (tagged with its warm-up attribution) from `from` to
-    /// `to`'s mailbox, reliably and in FIFO order per ordered pair.
-    ///
-    /// Returns `false` when the peer is unreachable — the frame never
-    /// entered the network. The transport records the failure in its
-    /// connection-error counter; the caller un-counts the frame from the
-    /// in-flight tally so quiescence detection cannot hang on a message
-    /// that will never arrive.
-    fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool;
-}
-
-/// In-process transport: one unbounded mailbox per site, with the
-/// destination's worker woken through the shared routing table.
-pub struct ChannelTransport {
-    routes: Arc<Routes>,
-    conn_errors: Arc<AtomicU64>,
-}
-
-impl ChannelTransport {
-    /// A channel fabric over `routes`, counting refused sends (peer
-    /// mailbox already gone) into `conn_errors`.
-    pub(crate) fn new(routes: Arc<Routes>, conn_errors: Arc<AtomicU64>) -> Self {
-        ChannelTransport {
-            routes,
-            conn_errors,
-        }
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool {
-        let ok = self.routes.push(
-            to.index(),
-            Wire::Msg {
-                from,
-                msg: msg.clone(),
-                measured,
-            },
-        );
-        if ok {
-            // A same-shard destination is drained by the worker executing
-            // this very send; only a cross-worker frame needs the wake.
-            if self.routes.owner(from.index()) != self.routes.owner(to.index()) {
-                self.routes.wake_owner(to.index());
-            }
-        } else {
-            // A late frame lost the race against shutdown: drop it
-            // cleanly instead of poisoning the run.
-            self.conn_errors.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
-    }
-}
 
 /// What travels between sites.
 pub enum Wire {
@@ -211,7 +151,7 @@ impl OpDriver {
 /// tally, and the run's zero instant (schedule offsets, client due times
 /// and every host timestamp are relative to it).
 pub(crate) struct RunShared {
-    pub(crate) transport: Arc<dyn Transport>,
+    pub(crate) transport: Arc<MuxTransport>,
     pub(crate) quiesce: Arc<Quiesce>,
     pub(crate) start: Instant,
 }
@@ -221,7 +161,7 @@ pub(crate) struct RunShared {
 /// timers, and the node's own metrics and history fragment collect what
 /// its host records. The runtime does not trace.
 struct Link {
-    transport: Arc<dyn Transport>,
+    transport: Arc<MuxTransport>,
     quiesce: Arc<Quiesce>,
     start: Instant,
     /// Armed lane windows: `(due, destination, epoch)`. A timer that fires

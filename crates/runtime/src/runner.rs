@@ -19,15 +19,17 @@
 //! coordinator now parks on a condvar that the last decrement notifies
 //! instead of sleep-polling the counters.
 
-use crate::node::{ChannelTransport, Node, NodeOutcome, OpDriver, RunShared, Transport, Wire};
+use crate::node::{Node, NodeOutcome, OpDriver, RunShared, Wire};
+use crate::serve::ServeTransport;
+use crate::tcp::{build_mesh, MuxTransport};
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::RunMetrics;
 use causal_proto::host::protocol_config;
 use causal_proto::{build_site, BatchPlan, ProtocolConfig, ProtocolKind, Replication, SiteHost};
-use causal_types::{SiteId, SizeModel};
+use causal_types::{Result, SiteId, SizeModel};
 use causal_workload::{generate, WorkloadParams};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -94,7 +96,7 @@ impl RuntimeConfig {
     }
 }
 
-/// What a threaded run produced.
+/// What a live run produced.
 pub struct RunOutcome {
     /// The combined execution history (feed to `causal_checker::check`).
     pub history: History,
@@ -105,7 +107,8 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
     /// Parked updates at shutdown, summed over sites (must be 0).
     pub final_pending: usize,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, from spawning the workers to
+    /// quiescence (mesh dial and teardown excluded).
     pub elapsed: Duration,
 }
 
@@ -411,28 +414,25 @@ impl Routes {
 }
 
 /// A spawned-but-not-yet-collected run: the fabric plus the worker pool.
-pub(crate) struct Cluster {
-    pub(crate) routes: Arc<Routes>,
-    pub(crate) quiesce: Arc<Quiesce>,
-    /// Run-wide spawned-thread counter (workers + transport threads).
-    pub(crate) threads: Arc<AtomicU64>,
+struct Cluster {
+    routes: Arc<Routes>,
+    quiesce: Arc<Quiesce>,
     handles: Vec<JoinHandle<Vec<NodeOutcome>>>,
 }
 
 /// The communication fabric of a run, built before any node exists so
-/// transports can capture it: mailboxes + routing on the sending side,
+/// the transport can capture it: mailboxes + routing on the sending side,
 /// the matching receivers held here until [`Fabric::spawn`] hands them to
 /// the workers.
-pub(crate) struct Fabric {
-    pub(crate) routes: Arc<Routes>,
-    pub(crate) quiesce: Arc<Quiesce>,
-    pub(crate) threads: Arc<AtomicU64>,
+struct Fabric {
+    routes: Arc<Routes>,
+    quiesce: Arc<Quiesce>,
     rxs: Vec<MailboxRx>,
 }
 
 /// Build the fabric for `n` sites sharded over `workers` workers
 /// (`workers` must already be resolved via [`resolve_workers`]).
-pub(crate) fn build_fabric(n: usize, workers: usize) -> Fabric {
+fn build_fabric(n: usize, workers: usize) -> Fabric {
     assert!((1..=n).contains(&workers), "workers must be in [1, n]");
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| mailbox()).unzip();
     let wakes = (0..workers).map(|_| WakeLatch::new()).collect();
@@ -444,7 +444,6 @@ pub(crate) fn build_fabric(n: usize, workers: usize) -> Fabric {
             wakes,
         }),
         quiesce: Arc::new(Quiesce::new(n)),
-        threads: Arc::new(AtomicU64::new(0)),
         rxs,
     }
 }
@@ -471,17 +470,16 @@ impl Fabric {
     /// `driver(site)`, and linked to the fabric through `transport`; the
     /// nodes are built on the coordinator thread and then moved to their
     /// owning workers. `start` is the run's shared zero instant.
-    pub(crate) fn spawn(
+    fn spawn(
         self,
         spec: &HostSpec,
-        transport: Arc<dyn Transport>,
+        transport: Arc<MuxTransport>,
         start: Instant,
         mut driver: impl FnMut(SiteId) -> OpDriver,
     ) -> Cluster {
         let Fabric {
             routes,
             quiesce,
-            threads,
             rxs,
         } = self;
         let n = routes.sites();
@@ -503,13 +501,11 @@ impl Fabric {
         let mut handles = Vec::with_capacity(workers);
         for (w, slots) in per_worker.into_iter().enumerate() {
             let wake = routes.wakes[w].clone();
-            threads.fetch_add(1, Ordering::Relaxed);
             handles.push(std::thread::spawn(move || worker_loop(slots, wake)));
         }
         Cluster {
             routes,
             quiesce,
-            threads,
             handles,
         }
     }
@@ -607,14 +603,8 @@ fn worker_loop(mut slots: Vec<SiteSlot>, wake: WakeLatch) -> Vec<NodeOutcome> {
 
 /// Wait for quiescence (every driver exhausted and the in-flight tally
 /// stably zero), broadcast `Stop`, join the worker pool, and merge the
-/// per-site outcomes. `conn_errors` are the transports' connection-failure
-/// counters, folded in *after* the join so late teardown races are
-/// included; the run-wide thread counter lands in
-/// `metrics.threads_spawned`.
-pub(crate) fn drive(
-    cluster: Cluster,
-    conn_errors: &[Arc<AtomicU64>],
-) -> (History, RunMetrics, usize) {
+/// per-site outcomes.
+fn drive(cluster: Cluster) -> (History, RunMetrics, usize) {
     let n = cluster.routes.sites();
     cluster.quiesce.wait_quiescent();
     for site in 0..n {
@@ -631,43 +621,52 @@ pub(crate) fn drive(
             final_pending += out.final_pending;
         }
     }
-    for c in conn_errors {
-        metrics.transport_conn_errors += c.load(Ordering::Relaxed);
-    }
-    metrics.threads_spawned = cluster.threads.load(Ordering::Relaxed);
     (history, metrics, final_pending)
 }
 
-/// Run the workload on the sharded worker pool over in-process channels.
-/// Blocks until quiescent.
-pub fn run_threaded(cfg: &RuntimeConfig) -> RunOutcome {
-    let n = cfg.workload.n;
-    assert_eq!(cfg.placement.n(), n);
-    let schedule = generate(&cfg.workload);
+/// The one lifecycle of a live run: build the fabric for `spec`'s sites
+/// over `workers` workers (resolved via [`resolve_workers`]) and the mesh
+/// for `transport`, spawn the pool with every site driven by
+/// `driver(site)`, drive it to quiescence, and tear the mesh down. The
+/// mesh's connection errors and write syscalls and the run's thread count
+/// are folded into the metrics here, once. `elapsed` runs from spawn to
+/// quiescence; the spawn instant is also the run's zero instant.
+pub(crate) fn launch(
+    workers: usize,
+    transport: ServeTransport,
+    spec: &HostSpec,
+    driver: impl FnMut(SiteId) -> OpDriver,
+) -> Result<RunOutcome> {
+    let n = spec.repl.n();
+    let fabric = build_fabric(n, resolve_workers(workers, n));
+    let mesh = build_mesh(&fabric.routes, &fabric.quiesce, transport)?;
+    let threads = (fabric.routes.workers() + mesh.threads()) as u64;
     let start = Instant::now();
+    let cluster = fabric.spawn(spec, mesh.transport(), start, driver);
+    let (history, mut metrics, final_pending) = drive(cluster);
+    let elapsed = start.elapsed();
+    (metrics.transport_conn_errors, metrics.syscall_writes) = mesh.teardown();
+    metrics.threads_spawned = threads;
+    Ok(RunOutcome {
+        history,
+        metrics,
+        final_pending,
+        elapsed,
+    })
+}
 
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let conn_errors = Arc::new(AtomicU64::new(0));
-    let transport = Arc::new(ChannelTransport::new(
-        fabric.routes.clone(),
-        conn_errors.clone(),
-    ));
-    let cluster = fabric.spawn(&cfg.host_spec(), transport, start, |site| {
+/// Replay the workload on the sharded worker pool over `transport`.
+/// Blocks until quiescent.
+pub fn run(cfg: &RuntimeConfig, transport: ServeTransport) -> Result<RunOutcome> {
+    assert_eq!(cfg.placement.n(), cfg.workload.n);
+    let schedule = generate(&cfg.workload);
+    launch(cfg.workers, transport, &cfg.host_spec(), |site| {
         OpDriver::replay(
             schedule.per_site[site.index()].clone(),
             schedule.warmup_events,
             cfg.time_scale,
         )
-    });
-
-    let (history, metrics, final_pending) = drive(cluster, &[conn_errors]);
-
-    RunOutcome {
-        history,
-        metrics,
-        final_pending,
-        elapsed: start.elapsed(),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -2,35 +2,35 @@
 //!
 //! `serve` is what the paper's testbed would have looked like with a
 //! benchmark harness attached: every site is a live node scheduled on the
-//! sharded worker pool, the transport is either the in-process channel
-//! fabric or a real multiplexed loopback-TCP mesh, and the offered load
-//! comes from closed-loop clients ([`crate::loadgen`]) instead of a
-//! pre-generated schedule. The run reports what serving systems are
+//! sharded worker pool, the fabric is either the in-process channel mesh
+//! or a real multiplexed loopback-TCP mesh, and the offered load comes
+//! from closed-loop clients ([`crate::loadgen`]) instead of a
+//! pre-generated schedule. It shares one launch path with replay runs
+//! ([`crate::run`]); only the per-site driver differs. The run reports what serving systems are
 //! judged by — throughput and latency tails — next to the protocol-level
 //! message and meta-data accounting the paper measures.
 //!
 //! Since client operations are generated at issue time from real completion
 //! instants, a serve run is *not* schedule-replayable on the simulator;
-//! sim-vs-real cross-validation uses replay mode ([`crate::run_tcp`] /
-//! [`crate::run_threaded`] with the simulator's workload) instead.
+//! sim-vs-real cross-validation uses replay mode ([`crate::run`] with the
+//! simulator's workload) instead.
 
 use crate::loadgen::{ClosedLoop, LoadProfile};
-use crate::node::{ChannelTransport, OpDriver, Transport};
-use crate::runner::{build_fabric, drive, resolve_workers, HostSpec};
-use crate::tcp::build_mesh;
+use crate::node::OpDriver;
+use crate::runner::{launch, HostSpec};
 use causal_checker::History;
 use causal_memory::Placement;
 use causal_metrics::{LatencySummary, OpLatency, RunMetrics};
 use causal_proto::{BatchPlan, ProtocolKind, Replication};
 use causal_types::{Result, SizeModel};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which fabric carries the mesh traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeTransport {
-    /// In-process `std::sync::mpsc` channels (single-box A/B baseline).
+    /// In-process `std::sync::mpsc` mailboxes only: the worker mesh with
+    /// no sockets (single-box A/B baseline).
     Channel,
     /// Multiplexed loopback TCP with `TCP_NODELAY` — the paper's actual
     /// transport, one socket per worker pair.
@@ -123,36 +123,12 @@ impl ServeReport {
 /// Deploy the cluster, run the client fleet to completion, and collect the
 /// report. Blocks until quiescent.
 pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
-    let n = cfg.n;
-    let placement = if cfg.protocol.supports_partial() {
-        Arc::new(Placement::paper_partial(n)?)
+    let repl: Arc<dyn Replication> = if cfg.protocol.supports_partial() {
+        Arc::new(Placement::paper_partial(cfg.n)?)
     } else {
-        Arc::new(Placement::full(n)?)
+        Arc::new(Placement::full(cfg.n)?)
     };
-    let repl: Arc<dyn Replication> = placement;
     let latency = Arc::new(Mutex::new(OpLatency::new()));
-    let start = Instant::now();
-
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    // One transport per fabric; TCP additionally owns writer/reader
-    // threads that must be joined after the workers exit.
-    let channel_errors = Arc::new(AtomicU64::new(0));
-    let mesh = match cfg.transport {
-        ServeTransport::Tcp => Some(build_mesh(
-            &fabric.routes,
-            &fabric.quiesce,
-            &fabric.threads,
-        )?),
-        ServeTransport::Channel => None,
-    };
-    let transport: Arc<dyn Transport> = match &mesh {
-        Some(m) => m.transport(),
-        None => Arc::new(ChannelTransport::new(
-            fabric.routes.clone(),
-            channel_errors.clone(),
-        )),
-    };
-
     let spec = HostSpec {
         protocol: cfg.protocol,
         repl,
@@ -160,28 +136,17 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeReport> {
         payload_len: cfg.payload_len,
         batch: cfg.batch,
     };
-    let cluster = fabric.spawn(&spec, transport, start, |site| {
+    let out = launch(cfg.workers, cfg.transport, &spec, |site| {
         OpDriver::Closed(ClosedLoop::new(&cfg.load, site, latency.clone()))
-    });
-
-    let (history, mut metrics, final_pending) = drive(cluster, &[]);
-    let elapsed = start.elapsed();
-    if let Some(m) = mesh {
-        let errs = m.conn_error_counter();
-        let syscalls = m.syscall_write_counter();
-        m.teardown();
-        metrics.transport_conn_errors += errs.load(Ordering::Relaxed);
-        metrics.syscall_writes += syscalls.load(Ordering::Relaxed);
-    }
-    metrics.transport_conn_errors += channel_errors.load(Ordering::Relaxed);
+    })?;
 
     let latency = latency.lock().expect("latency recorder poisoned");
     Ok(ServeReport {
         ops: latency.count(),
-        elapsed,
+        elapsed: out.elapsed,
         latency: latency.summary(),
-        metrics,
-        history,
-        final_pending,
+        metrics: out.metrics,
+        history: out.history,
+        final_pending: out.final_pending,
     })
 }

@@ -14,8 +14,15 @@
 //! mesh connects *workers*: one socket per unordered worker pair, carrying
 //! the traffic of every site pair whose owners differ. Each socket
 //! endpoint gets one writer thread and one reader thread, so the whole
-//! fabric is `W + 2·W·(W-1)` threads. Same-worker site pairs never touch a
-//! socket — the frame goes straight into the destination mailbox.
+//! fabric is `W + 2·W·(W-1)` threads.
+//!
+//! The in-process channel fabric is the same mesh with no sockets: every
+//! worker pair is unconnected and the fabric is just the `W` workers.
+//! One send rule covers both (see [`MuxTransport::send`]): a frame
+//! between two workers with no connection between them — same-worker
+//! pairs on either fabric, every pair on the channel fabric — goes
+//! straight into the destination mailbox, waking the owner only when it
+//! is another worker; any other frame is queued on the pair's connection.
 //!
 //! ## Framing
 //!
@@ -71,20 +78,18 @@
 //! readers blocked in `read` (they hold dups of the fd, so a plain
 //! drop would never deliver the EOF) and join them — nothing leaks.
 
-use crate::node::{OpDriver, Transport, Wire};
-use crate::runner::{
-    build_fabric, drive, resolve_workers, Quiesce, Routes, RunOutcome, RuntimeConfig,
-};
-use causal_proto::{wire, Msg, Replication};
+use crate::node::Wire;
+use crate::runner::{Quiesce, Routes};
+use crate::serve::ServeTransport;
+use causal_proto::{wire, Msg};
 use causal_types::{Error, Result, SiteId};
-use causal_workload::generate;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Coalescing bound: a writer stops draining its queue once the batched
 /// buffer reaches this size, ships it, and comes back for the rest.
@@ -113,57 +118,62 @@ struct Conn {
     dead: Arc<AtomicBool>,
 }
 
-/// The multiplexed transport every site shares: same-worker frames go
-/// straight to the destination mailbox, cross-worker frames are queued on
-/// the owning pair's connection.
+/// The run's one transport, shared by every site: frames between workers
+/// with no connection go straight to the destination mailbox, all others
+/// are queued on the owning pair's connection.
 pub(crate) struct MuxTransport {
     routes: Arc<Routes>,
     workers: usize,
     /// `conns[wa * workers + wb]` is the endpoint at worker `wa` writing
-    /// toward worker `wb`; `None` iff `wa == wb`.
+    /// toward worker `wb`; `None` when the pair has no socket (always for
+    /// `wa == wb`, and for every pair on the channel fabric).
     conns: Vec<Option<Conn>>,
     conn_errors: Arc<AtomicU64>,
 }
 
-impl Transport for MuxTransport {
-    fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool {
+impl MuxTransport {
+    /// Deliver `msg` (tagged with its warm-up attribution) from `from` to
+    /// `to`'s mailbox, reliably and in FIFO order per ordered pair.
+    ///
+    /// Returns `false` when the peer is unreachable — the frame never
+    /// entered the network. The failure counts one connection error; the
+    /// caller un-counts the frame from the in-flight tally so quiescence
+    /// detection cannot hang on a message that will never arrive.
+    pub(crate) fn send(&self, from: SiteId, to: SiteId, msg: &Msg, measured: bool) -> bool {
         let wa = self.routes.owner(from.index());
         let wb = self.routes.owner(to.index());
-        if wa == wb {
-            // Same shard: the frame never touches a socket, and the
-            // draining thread is the one executing this send — no wake
-            // needed.
-            let ok = self.routes.push(
-                to.index(),
-                Wire::Msg {
+        let ok = match &self.conns[wa * self.workers + wb] {
+            None => {
+                let wire = Wire::Msg {
                     from,
                     msg: msg.clone(),
                     measured,
-                },
-            );
-            if !ok {
-                self.conn_errors.fetch_add(1, Ordering::Relaxed);
+                };
+                let ok = self.routes.push(to.index(), wire);
+                // A same-worker destination is drained by the very worker
+                // executing this send; only another worker needs the wake.
+                if ok && wa != wb {
+                    self.routes.wake(wb);
+                }
+                ok
             }
-            return ok;
-        }
-        let conn = self.conns[wa * self.workers + wb]
-            .as_ref()
-            .expect("mesh covers every cross-worker pair");
-        if conn.dead.load(Ordering::Relaxed)
-            || conn
-                .tx
-                .send(OutFrame {
-                    src: from,
-                    dst: to,
-                    msg: msg.clone(),
-                    measured,
-                })
-                .is_err()
-        {
+            Some(conn) => {
+                !conn.dead.load(Ordering::Relaxed)
+                    && conn
+                        .tx
+                        .send(OutFrame {
+                            src: from,
+                            dst: to,
+                            msg: msg.clone(),
+                            measured,
+                        })
+                        .is_ok()
+            }
+        };
+        if !ok {
             self.conn_errors.fetch_add(1, Ordering::Relaxed);
-            return false;
         }
-        true
+        ok
     }
 }
 
@@ -307,44 +317,42 @@ fn read_frames(stream: &TcpStream, routes: &Routes, owed: &mut [bool]) -> ReadEn
 }
 
 /// An established worker mesh: the shared transport, the writer and reader
-/// threads, and the teardown handles that wake blocked readers.
+/// threads, and the teardown handles that wake blocked readers. The
+/// channel fabric is a mesh with none of these but the transport.
 pub(crate) struct Mesh {
     transport: Arc<MuxTransport>,
     writers: Vec<JoinHandle<()>>,
     readers: Vec<JoinHandle<()>>,
     shutdowns: Vec<TcpStream>,
-    conn_errors: Arc<AtomicU64>,
     syscall_writes: Arc<AtomicU64>,
 }
 
 impl Mesh {
     /// The shared transport (clone per site). Every clone must be dropped
     /// before [`Mesh::teardown`] can join the writers.
-    pub(crate) fn transport(&self) -> Arc<dyn Transport> {
+    pub(crate) fn transport(&self) -> Arc<MuxTransport> {
         self.transport.clone()
     }
 
-    /// The mesh's connection-error counter (keep a clone across
-    /// [`Mesh::teardown`], which consumes the mesh).
-    pub(crate) fn conn_error_counter(&self) -> Arc<AtomicU64> {
-        self.conn_errors.clone()
+    /// Writer and reader threads the mesh spawned.
+    pub(crate) fn threads(&self) -> usize {
+        self.writers.len() + self.readers.len()
     }
 
-    /// The mesh's `write(2)` counter (one per coalesced writer wake).
-    pub(crate) fn syscall_write_counter(&self) -> Arc<AtomicU64> {
-        self.syscall_writes.clone()
-    }
-
-    /// Tear the mesh down, in dependency order. Call after the workers
-    /// have exited (their nodes hold transport clones).
-    pub(crate) fn teardown(self) {
+    /// Tear the mesh down, in dependency order, and return its connection
+    /// errors (refused sends, failed writes, rejected frames) and its
+    /// coalesced `write(2)` count, read last so teardown races are
+    /// included. Call after the workers have exited (their nodes hold
+    /// transport clones).
+    pub(crate) fn teardown(self) -> (u64, u64) {
         let Mesh {
             transport,
             writers,
             readers,
             shutdowns,
-            ..
+            syscall_writes,
         } = self;
+        let conn_errors = transport.conn_errors.clone();
         // Dropping the last transport handle disconnects every writer's
         // queue; the writers drain what is left and exit.
         drop(transport);
@@ -359,17 +367,21 @@ impl Mesh {
         for h in readers {
             let _ = h.join();
         }
+        (
+            conn_errors.load(Ordering::Relaxed),
+            syscall_writes.load(Ordering::Relaxed),
+        )
     }
 }
 
-/// Establish the worker mesh over `routes`: one socket per unordered
-/// worker pair, `TCP_NODELAY` everywhere, one writer + one reader thread
-/// per endpoint (all counted in `threads`). With a single worker the mesh
-/// is empty — every site pair is same-shard and no socket exists.
+/// Establish the worker mesh over `routes`. Over TCP: one socket per
+/// unordered worker pair, `TCP_NODELAY` everywhere, one writer + one
+/// reader thread per endpoint; with a single worker no socket exists. The
+/// channel fabric dials nothing: every pair stays unconnected.
 pub(crate) fn build_mesh(
     routes: &Arc<Routes>,
     quiesce: &Arc<Quiesce>,
-    threads: &Arc<AtomicU64>,
+    kind: ServeTransport,
 ) -> Result<Mesh> {
     let w = routes.workers();
     let conn_errors = Arc::new(AtomicU64::new(0));
@@ -378,10 +390,16 @@ pub(crate) fn build_mesh(
     let mut writers = Vec::new();
     let mut readers = Vec::new();
     let mut shutdowns = Vec::new();
+    // Workers that bind a listener and dial their peers: all of them over
+    // TCP, none on the channel fabric.
+    let dial = match kind {
+        ServeTransport::Tcp => w,
+        ServeTransport::Channel => 0,
+    };
 
-    let mut listeners = Vec::with_capacity(w);
-    let mut addrs = Vec::with_capacity(w);
-    for _ in 0..w {
+    let mut listeners = Vec::with_capacity(dial);
+    let mut addrs = Vec::with_capacity(dial);
+    for _ in 0..dial {
         let l = TcpListener::bind("127.0.0.1:0").map_err(|_| Error::ChannelClosed)?;
         addrs.push(l.local_addr().map_err(|_| Error::ChannelClosed)?);
         listeners.push(l);
@@ -392,8 +410,8 @@ pub(crate) fn build_mesh(
     // each (a, b) pair we connect and accept inline — loopback makes this
     // immediate and avoids a thread per handshake.
     let sock_err = |_| Error::ChannelClosed;
-    for a in 0..w {
-        for b in (a + 1)..w {
+    for a in 0..dial {
+        for b in (a + 1)..dial {
             let out = TcpStream::connect(addrs[b]).map_err(sock_err)?;
             // Nagle would delay small frames behind unacked data — fatal
             // for latency measurement on a chatty mesh.
@@ -452,8 +470,6 @@ pub(crate) fn build_mesh(
                 let (r, e) = (routes.clone(), conn_errors.clone());
                 std::thread::spawn(move || reader_loop(inc_read, r, e))
             });
-
-            threads.fetch_add(4, Ordering::Relaxed);
         }
     }
 
@@ -462,55 +478,19 @@ pub(crate) fn build_mesh(
             routes: routes.clone(),
             workers: w,
             conns,
-            conn_errors: conn_errors.clone(),
+            conn_errors,
         }),
         writers,
         readers,
         shutdowns,
-        conn_errors,
         syscall_writes,
-    })
-}
-
-/// Run the workload over the multiplexed loopback-TCP worker mesh. Blocks
-/// until quiescent.
-pub fn run_tcp(cfg: &RuntimeConfig) -> Result<RunOutcome> {
-    let n = cfg.workload.n;
-    assert_eq!(cfg.placement.n(), n);
-    let schedule = generate(&cfg.workload);
-    let start = Instant::now();
-
-    let fabric = build_fabric(n, resolve_workers(cfg.workers, n));
-    let mesh = build_mesh(&fabric.routes, &fabric.quiesce, &fabric.threads)?;
-    let cluster = fabric.spawn(&cfg.host_spec(), mesh.transport(), start, |site| {
-        OpDriver::replay(
-            schedule.per_site[site.index()].clone(),
-            schedule.warmup_events,
-            cfg.time_scale,
-        )
-    });
-
-    let (history, mut metrics, final_pending) = drive(cluster, &[]);
-    // Tear down before folding the counters so teardown races are
-    // included.
-    let errors = mesh.conn_error_counter();
-    let syscalls = mesh.syscall_write_counter();
-    mesh.teardown();
-    metrics.transport_conn_errors += errors.load(Ordering::Relaxed);
-    metrics.syscall_writes += syscalls.load(Ordering::Relaxed);
-
-    Ok(RunOutcome {
-        history,
-        metrics,
-        final_pending,
-        elapsed: start.elapsed(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::test_fabric;
+    use crate::runner::{test_fabric, MailboxRx};
     use causal_clocks::MatrixClock;
     use causal_proto::{Fm, Rm, RmMeta};
     use causal_types::VarId;
@@ -788,6 +768,58 @@ mod tests {
             assert_eq!(errs.load(Ordering::Relaxed), 0, "split {split}");
             assert!(mailboxes.iter().all(|m| m.try_recv_test().is_none()));
         }
+    }
+
+    /// A mesh of `kind` over 4 sites on 2 workers ({0, 2} on worker 0,
+    /// {1, 3} on worker 1), with the receive sides kept for the test.
+    fn mesh_of(kind: ServeTransport) -> (Arc<Routes>, Vec<MailboxRx>, Mesh) {
+        let (routes, rxs) = test_fabric(4, 2);
+        let mesh = build_mesh(&routes, &Arc::new(Quiesce::new(4)), kind).unwrap();
+        (routes, rxs, mesh)
+    }
+
+    #[test]
+    fn socketless_cross_worker_send_lands_in_the_mailbox_and_wakes_the_owner() {
+        let (routes, rxs, mesh) = mesh_of(ServeTransport::Channel);
+        assert_eq!(mesh.threads(), 0, "the channel mesh dials nothing");
+        let msg = Msg::Fm(Fm { var: VarId(4) });
+        assert!(mesh
+            .transport()
+            .send(SiteId::from(0usize), SiteId::from(1usize), &msg, true));
+        let (from, got, measured) = delivered(rxs[1].try_recv_test());
+        assert_eq!((from, got, measured), (SiteId::from(0usize), msg, true));
+        assert!(routes.take_wake(1, Duration::ZERO), "the owner is woken");
+        assert!(!routes.take_wake(0, Duration::ZERO), "the sender is not");
+        assert_eq!(mesh.teardown(), (0, 0));
+    }
+
+    #[test]
+    fn same_worker_send_skips_the_socket_and_wakes_nobody() {
+        for kind in [ServeTransport::Channel, ServeTransport::Tcp] {
+            let (routes, rxs, mesh) = mesh_of(kind);
+            let msg = Msg::Fm(Fm { var: VarId(2) });
+            assert!(mesh
+                .transport()
+                .send(SiteId::from(0usize), SiteId::from(2usize), &msg, false));
+            // Pushed inline, so already in the mailbox: no socket on the way.
+            let (from, got, _) = delivered(rxs[2].try_recv_test());
+            assert_eq!((from, got), (SiteId::from(0usize), msg), "{kind:?}");
+            for w in 0..2 {
+                assert!(!routes.take_wake(w, Duration::ZERO), "{kind:?}: worker {w}");
+            }
+            assert_eq!(mesh.teardown(), (0, 0), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn send_to_a_gone_mailbox_fails_and_counts_one_connection_error() {
+        let (_routes, mut rxs, mesh) = mesh_of(ServeTransport::Channel);
+        drop(rxs.pop()); // site 3's worker has exited
+        let msg = Msg::Fm(Fm { var: VarId(0) });
+        assert!(!mesh
+            .transport()
+            .send(SiteId::from(0usize), SiteId::from(3usize), &msg, true));
+        assert_eq!(mesh.teardown(), (1, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use causal_checker::check;
 use causal_proto::ProtocolKind;
-use causal_runtime::{run_tcp, run_threaded, serve, RuntimeConfig, ServeConfig, ServeTransport};
+use causal_runtime::{run, serve, RuntimeConfig, ServeConfig, ServeTransport};
 
 /// Threads a TCP run spawns: the worker pool plus one reader and one
 /// writer per socket endpoint, with one socket per unordered worker pair.
@@ -19,7 +19,7 @@ fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
     // runtime must do the same job on the worker pool plus the mux mesh.
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 40, 0.3, 7, 8);
     cfg.workers = 4;
-    let out = run_tcp(&cfg).expect("tcp run");
+    let out = run(&cfg, ServeTransport::Tcp).expect("tcp run");
     assert_eq!(out.metrics.threads_spawned, tcp_thread_budget(4), "= 28");
     assert!(
         out.metrics.threads_spawned < 40,
@@ -40,7 +40,7 @@ fn forty_sites_run_on_a_bounded_thread_pool_over_tcp() {
 fn channel_fabric_spawns_exactly_the_worker_pool() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 40, 0.3, 7, 8);
     cfg.workers = 4;
-    let out = run_threaded(&cfg);
+    let out = run(&cfg, ServeTransport::Channel).expect("channel run");
     assert_eq!(out.metrics.threads_spawned, 4);
     assert_eq!(out.final_pending, 0);
     let v = check(&out.history);
@@ -53,7 +53,7 @@ fn auto_sizing_never_exceeds_the_site_count() {
     // any machine a 2-site run must use at most 2 workers.
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 2, 0.3, 5, 10);
     cfg.workers = 0;
-    let out = run_threaded(&cfg);
+    let out = run(&cfg, ServeTransport::Channel).expect("channel run");
     assert!((1..=2).contains(&out.metrics.threads_spawned));
     assert_eq!(out.final_pending, 0);
 }
@@ -84,9 +84,9 @@ fn every_pool_size_is_checker_clean_for_a_fetching_protocol() {
 fn thread_per_site_emulation_spawns_one_worker_per_site() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 5, 0.3, 3, 12);
     cfg.workers = 5;
-    let out = run_threaded(&cfg);
+    let out = run(&cfg, ServeTransport::Channel).expect("channel run");
     assert_eq!(out.metrics.threads_spawned, 5);
-    let tcp = run_tcp(&cfg).expect("tcp run");
+    let tcp = run(&cfg, ServeTransport::Tcp).expect("tcp run");
     assert_eq!(tcp.metrics.threads_spawned, tcp_thread_budget(5));
 }
 
@@ -97,7 +97,7 @@ fn mailbox_depth_gauge_observes_backlog_under_load() {
     let mut cfg = RuntimeConfig::fast(ProtocolKind::OptP, 8, 0.8, 17, 30);
     cfg.workers = 1;
     cfg.time_scale = 0.0005; // compress gaps so sends pile up
-    let out = run_threaded(&cfg);
+    let out = run(&cfg, ServeTransport::Channel).expect("channel run");
     assert!(
         out.metrics.mailbox_depth_peak > 0,
         "peak mailbox depth should register under a 1-worker pileup"

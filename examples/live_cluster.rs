@@ -1,9 +1,9 @@
 //! A live multi-threaded cluster run, checked for causal consistency.
 //!
-//! Spawns one OS thread per site (the same protocol objects the simulator
-//! drives), replays a workload in scaled wall-clock time over crossbeam
-//! channels, then verifies the recorded execution with the independent
-//! checker — the closest thing to the paper's JDK-over-TCP testbed that
+//! Runs the sites (the same protocol objects the simulator drives) on the
+//! live runtime's worker pool, replays a workload in scaled wall-clock time
+//! over in-process mailboxes, then verifies the recorded execution with
+//! the independent checker — the closest thing to the paper's JDK-over-TCP testbed that
 //! fits in an example.
 //!
 //! ```text
@@ -20,7 +20,7 @@ fn main() {
         (ProtocolKind::OptP, 8),
     ] {
         let cfg = RuntimeConfig::fast(protocol, n, 0.5, 42, 60);
-        let out = run_threaded(&cfg);
+        let out = causal_repro::runtime::run(&cfg, ServeTransport::Channel).expect("channel run");
         let v = check(&out.history);
         println!(
             "{protocol:<14} n={n}: {} ops, {} applies, {} msgs in {:?} — {}",
@@ -47,7 +47,7 @@ fn main() {
     // Once more over the paper's actual transport: a real loopback TCP
     // mesh with wire-encoded frames.
     let cfg = RuntimeConfig::fast(ProtocolKind::OptTrack, 6, 0.5, 7, 40);
-    let out = causal_repro::runtime::run_tcp(&cfg).expect("tcp mesh");
+    let out = causal_repro::runtime::run(&cfg, ServeTransport::Tcp).expect("tcp mesh");
     let v = check(&out.history);
     println!(
         "TCP mesh (Opt-Track, 6 sites): {} msgs over real sockets in {:?} — {}",

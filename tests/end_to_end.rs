@@ -72,7 +72,7 @@ fn sim_and_threaded_runtime_agree_on_message_counts() {
         let sim = causal_repro::simnet::run(&sim_cfg);
 
         let rt_cfg = RuntimeConfig::fast(kind, n, 0.5, seed, events);
-        let rt = run_threaded(&rt_cfg);
+        let rt = causal_repro::runtime::run(&rt_cfg, ServeTransport::Channel).expect("channel run");
 
         for kind_m in [MsgKind::Sm, MsgKind::Fm, MsgKind::Rm] {
             assert_eq!(
@@ -106,7 +106,11 @@ fn sim_and_threaded_runtime_agree_per_site() {
         };
         sim_cfg.workload.events_per_process = events;
         let sim = causal_repro::simnet::run(&sim_cfg);
-        let rt = run_threaded(&RuntimeConfig::fast(kind, n, 0.5, seed, events));
+        let rt = causal_repro::runtime::run(
+            &RuntimeConfig::fast(kind, n, 0.5, seed, events),
+            ServeTransport::Channel,
+        )
+        .expect("channel run");
         for i in 0..n {
             let (s, r) = (
                 sim.metrics.per_site.site(i).expect("sim site"),
